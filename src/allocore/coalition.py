@@ -121,11 +121,6 @@ def all_coalitions(n: int) -> Iterator[Coalition]:
         yield Coalition(bits, n)
 
 
-def nonempty_coalitions(n: int) -> Iterator[Coalition]:
-    for bits in range(1, 1 << n):
-        yield Coalition(bits, n)
-
-
 def proper_coalitions(n: int) -> Iterator[Coalition]:
     """Nonempty proper coalitions in ascending bitmask order."""
     for bits in range(1, (1 << n) - 1):

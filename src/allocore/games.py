@@ -14,10 +14,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .coalition import Coalition, submasks_ascending
 from .errors import EnumerationLimitError
 
-# All exact quantities in this package are fractions.Fraction values: stored
-# in lowest terms with positive denominator, with exact field arithmetic.
-Rational = Fraction
-
 #: Hard cap for any operation that enumerates all coalitions (2^n table rows).
 ENUM_LIMIT = 16
 

@@ -12,15 +12,19 @@ separation to core separation.
 For games with empty core the relaxation optima are linked by exact
 identities: the minimum subsidy equals (1 - gamma*) c(N), equals
 eps_m*/(1 + eps_m*) c(N), equals the cost of stability, equals n * eps_w*.
-``full_report`` computes every quantity by its own program and checks the
-identities before returning.
+Gamma, eps_m and the cost of stability are functions of one number,
+m = max x(N) over all stability constraints, so they come from one core
+solve and the gamma and multiplicative identities hold by algebra; the
+subsidy and weak-epsilon programs are the independent cross-checks of
+cost of stability = subsidy = n * eps_w. ``full_report`` checks every
+identity before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coalition import Coalition
 from .errors import PreconditionError, UndefinedRatioError
@@ -32,7 +36,7 @@ from .games import (
     satisfies_last_monotone,
     subset_sums,
 )
-from .lp import LpProblem, LpSolution, LpStatus, solve
+from .lp import LpProblem, LpSolution, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -63,28 +67,41 @@ def _indicator(bits: int, num_vars: int) -> list[Fraction]:
     return row
 
 
+def _coalition_program(
+    game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
+    what: str, relation: str = "<=", extra: Callable[[int], list[Fraction]] | None = None,
+    grand: str | None = None,
+) -> LpProblem:
+    """Rows x(S) + extra(S) . y (relation) c(S) for proper S in ascending bitmask order.
+
+    x are the first n variables, y the rest; a last row x(N) (grand) c(N) is
+    added when ``grand`` names a relation.
+    """
+    check_enum_limit(game.n, f"building {what}")
+    n = game.n
+    problem = LpProblem(len(objective), objective, bounds)
+    if extra is None and problem.num_vars != n:
+        raise ValueError("objective length does not match the game")
+    for bits in range(1, (1 << n) - 1):
+        row = _indicator(bits, n)
+        if extra is not None:
+            row += extra(bits)
+        problem.add(row, relation, game.cost_bits(bits))
+    if grand is not None:
+        problem.add([_ONE] * n + [_ZERO] * (problem.num_vars - n), grand, game.grand_cost())
+    return problem
+
+
 def almost_core_problem(game: Game, require_nonneg: bool = False) -> LpProblem:
     """max x(N) over all proper-coalition constraints, in ascending bitmask order."""
-    check_enum_limit(game.n, "building the almost-core program")
     n = game.n
-    bounds = [_ZERO] * n if require_nonneg else [None] * n
-    problem = LpProblem(n, [_ONE] * n, bounds)
-    for bits in range(1, (1 << n) - 1):
-        problem.add(_indicator(bits, n), "<=", game.cost_bits(bits))
-    return problem
+    bounds = [_ZERO] * n if require_nonneg else None
+    return _coalition_program(game, [_ONE] * n, bounds, what="the almost-core program")
 
 
 def core_problem(game: Game, objective: Sequence[object]) -> LpProblem:
     """Optimize over stability constraints for every nonempty coalition, N included."""
-    check_enum_limit(game.n, "building the core program")
-    n = game.n
-    obj = [as_rational(v) for v in objective]
-    if len(obj) != n:
-        raise ValueError("objective length does not match the game")
-    problem = LpProblem(n, obj)
-    for bits in range(1, 1 << n):
-        problem.add(_indicator(bits, n), "<=", game.cost_bits(bits))
-    return problem
+    return _coalition_program(game, objective, what="the core program", grand="<=")
 
 
 def almost_core_optimum(
@@ -104,29 +121,49 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
     return solve(core_problem(game, objective))
 
 
+class _Shareable(NamedTuple):
+    """What follows from m = max x(N) over every stability constraint, N included."""
+
+    maximizer: Allocation
+    core: Allocation | None  # the maximizer when m = c(N)
+    mult: tuple[Fraction, Allocation] | None  # c(N)/m - 1, the maximizer scaled by c(N)/m
+    gamma: Fraction | None  # m / c(N)
+    cost_of_stability: Fraction  # c(N) - m
+
+
+def _max_shareable(game: Game) -> _Shareable:
+    solution = core_optimum(game, [_ONE] * game.n)
+    _ensure(solution.is_optimal, f"core program came back {solution.status}")
+    m, x = solution.value, Allocation(solution.point)
+    c_grand = game.grand_cost()
+    if m == c_grand:
+        mult = _ZERO, x
+    elif m == 0:
+        mult = None
+    else:
+        factor = c_grand / m
+        mult = factor - 1, Allocation(tuple(factor * v for v in x))
+    gamma = None if c_grand == 0 else m / c_grand
+    return _Shareable(x, x if m == c_grand else None, mult, gamma, c_grand - m)
+
+
 def core_nonempty(game: Game) -> tuple[bool, Allocation | None]:
     """Decide core nonemptiness; on success return a budget-balanced stable witness.
 
     The core is nonempty exactly when maximizing x(N) over all stability
     constraints (N included) attains c(N).
     """
-    solution = core_optimum(game, [_ONE] * game.n)
-    _ensure(solution.is_optimal, f"core program came back {solution.status}")
-    if solution.value == game.grand_cost():
-        return True, Allocation(solution.point)
-    return False, None
+    core = _max_shareable(game).core
+    return core is not None, core
 
 
 def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], Fraction]) -> tuple[Fraction, Allocation]:
     """min eps >= 0 with x(S) <= c(S) + eps * weight(|S|) for proper S, x(N) = c(N)."""
-    check_enum_limit(game.n, "building an epsilon-core program")
     n = game.n
-    problem = LpProblem(n + 1, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO])
-    for bits in range(1, (1 << n) - 1):
-        row = _indicator(bits, n + 1)
-        row[n] = -weight_of_size(bits.bit_count())
-        problem.add(row, "<=", game.cost_bits(bits))
-    problem.add([_ONE] * n + [_ZERO], "==", game.grand_cost())
+    problem = _coalition_program(
+        game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="an epsilon-core program",
+        extra=lambda bits: [-weight_of_size(bits.bit_count())], grand="==",
+    )
     solution = solve(problem)
     _ensure(solution.is_optimal, f"epsilon-core program came back {solution.status}")
     return -solution.value, Allocation(solution.point[:n])
@@ -151,36 +188,22 @@ def mult_core_eps(game: Game) -> tuple[Fraction, Allocation] | None:
     maximizes x(N) over all stability constraints. When m = 0 < c(N) no
     finite scaling works and None is returned.
     """
-    solution = core_optimum(game, [_ONE] * game.n)
-    _ensure(solution.is_optimal, f"core program came back {solution.status}")
-    m = solution.value
-    c_grand = game.grand_cost()
-    if m == c_grand:
-        return _ZERO, Allocation(solution.point)
-    if m == 0:
-        return None
-    factor = c_grand / m
-    scaled = Allocation(tuple(factor * v for v in solution.point))
-    return factor - 1, scaled
+    return _max_shareable(game).mult
 
 
 def gamma_approx(game: Game) -> tuple[Fraction, Allocation]:
     """Largest gamma <= 1 so that a stable allocation covers gamma * c(N)."""
-    c_grand = game.grand_cost()
-    if c_grand == 0:
+    if game.grand_cost() == 0:
         raise UndefinedRatioError(
             "the gamma relaxation is a fraction of c(N), undefined when c(N) = 0"
         )
-    solution = core_optimum(game, [_ONE] * game.n)
-    _ensure(solution.is_optimal, f"core program came back {solution.status}")
-    return solution.value / c_grand, Allocation(solution.point)
+    shareable = _max_shareable(game)
+    return shareable.gamma, shareable.maximizer
 
 
 def cost_of_stability(game: Game) -> Fraction:
     """c(N) minus the largest stably shareable total (0 for balanced games)."""
-    solution = core_optimum(game, [_ONE] * game.n)
-    _ensure(solution.is_optimal, f"core program came back {solution.status}")
-    return game.grand_cost() - solution.value
+    return _max_shareable(game).cost_of_stability
 
 
 def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocation]]:
@@ -189,15 +212,11 @@ def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocat
     The witness satisfies t >= 0, x(N) = c(N), and (x - t)(S) <= c(S) for
     every proper coalition.
     """
-    check_enum_limit(game.n, "building the subsidy program")
     n = game.n
-    problem = LpProblem(
-        2 * n, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n
+    problem = _coalition_program(
+        game, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n, what="the subsidy program",
+        extra=lambda bits: [-v for v in _indicator(bits, n)], grand="==",
     )
-    for bits in range(1, (1 << n) - 1):
-        half = _indicator(bits, n)
-        problem.add(half + [-v for v in half], "<=", game.cost_bits(bits))
-    problem.add([_ONE] * n + [_ZERO] * n, "==", game.grand_cost())
     solution = solve(problem)
     _ensure(solution.is_optimal, f"subsidy program came back {solution.status}")
     x = Allocation(solution.point[:n])
@@ -213,11 +232,9 @@ def min_stable_profit(profit_game: Game) -> tuple[Fraction, Allocation]:
     singleton costs.
     """
     _require_multi_agent(profit_game, "stable-profit minimization")
-    check_enum_limit(profit_game.n, "building the stable-profit program")
-    n = profit_game.n
-    problem = LpProblem(n, [-_ONE] * n)
-    for bits in range(1, (1 << n) - 1):
-        problem.add(_indicator(bits, n), ">=", profit_game.cost_bits(bits))
+    problem = _coalition_program(
+        profit_game, [-_ONE] * profit_game.n, what="the stable-profit program", relation=">="
+    )
     solution = solve(problem)
     _ensure(solution.is_optimal, f"stable-profit program came back {solution.status}")
     return -solution.value, Allocation(solution.point)
@@ -225,7 +242,7 @@ def min_stable_profit(profit_game: Game) -> tuple[Fraction, Allocation]:
 
 @dataclass(frozen=True, slots=True)
 class RelaxationReport:
-    """Every relaxation optimum for one game, each from its own program."""
+    """Every relaxation optimum for one game (see :func:`full_report`)."""
 
     n: int
     c_grand: Fraction
@@ -252,23 +269,22 @@ class RelaxationReport:
 def full_report(game: Game) -> RelaxationReport:
     """Compute all relaxation quantities and verify their exact relations.
 
-    For empty-core games the equality chain linking the subsidy, gamma,
-    multiplicative, cost-of-stability and weak-epsilon optima is asserted
-    exactly; the weak/strong epsilon inequalities are asserted always.
+    One core solve gives the core witness, gamma, eps_m and the cost of
+    stability; the almost-core, epsilon and subsidy optima each come from
+    their own program. For empty-core games the equality chain linking the
+    subsidy, gamma, multiplicative, cost-of-stability and weak-epsilon
+    optima is asserted exactly; the weak/strong epsilon inequalities are
+    asserted always.
     """
     n = game.n
     c_grand = game.grand_cost()
-    has_core, core_x = core_nonempty(game)
+    shareable = _max_shareable(game)
+    has_core = shareable.core is not None
+    mult, gamma, cos = shareable.mult, shareable.gamma, shareable.cost_of_stability
     ac_val, ac_x = almost_core_optimum(game, False)
     acn_val, acn_x = almost_core_optimum(game, True)
     eps_s, eps_s_x = least_core_eps(game)
     eps_w, eps_w_x = weak_core_eps(game)
-    mult = mult_core_eps(game)
-    try:
-        gamma, gamma_x = gamma_approx(game)
-    except UndefinedRatioError:
-        gamma, gamma_x = None, None
-    cos = cost_of_stability(game)
     delta_ec, (ec_x, ec_t) = extended_core_delta(game)
 
     _ensure(has_core == (ac_val >= c_grand), "core emptiness disagrees with the almost-core optimum")
@@ -294,7 +310,7 @@ def full_report(game: Game) -> RelaxationReport:
         n=n,
         c_grand=c_grand,
         core_nonempty=has_core,
-        core_allocation=core_x,
+        core_allocation=shareable.core,
         ac_opt=ac_val,
         ac_opt_allocation=ac_x,
         ac_opt_nonneg=acn_val,
@@ -306,7 +322,7 @@ def full_report(game: Game) -> RelaxationReport:
         eps_mult=None if mult is None else mult[0],
         eps_mult_allocation=None if mult is None else mult[1],
         gamma_approx=gamma,
-        gamma_allocation=gamma_x,
+        gamma_allocation=None if gamma is None else shareable.maximizer,
         cost_of_stability=cos,
         extended_core_delta=delta_ec,
         extended_core_x=ec_x,
@@ -335,6 +351,13 @@ class SeparationResult:
 CoreOracle = Callable[[Sequence[Fraction]], SeparationResult]
 
 
+def _query_point(point: Sequence[object], n: int) -> list[Fraction]:
+    values = [as_rational(v) for v in point]
+    if len(values) != n:
+        raise ValueError(f"point has {len(values)} entries, the game has {n} agents")
+    return values
+
+
 def brute_force_core_oracle(game: Game) -> CoreOracle:
     """Exact separation for all stability constraints by full enumeration.
 
@@ -344,7 +367,7 @@ def brute_force_core_oracle(game: Game) -> CoreOracle:
     n = game.n
 
     def oracle(point: Sequence[Fraction]) -> SeparationResult:
-        sums = subset_sums([as_rational(v) for v in point])
+        sums = subset_sums(_query_point(point, n))
         for bits in range(1, 1 << n):
             if sums[bits] > table[bits]:
                 return SeparationResult(
@@ -358,15 +381,51 @@ def brute_force_core_oracle(game: Game) -> CoreOracle:
 def brute_force_nonneg_core_oracle(game: Game) -> CoreOracle:
     """As :func:`brute_force_core_oracle` plus the x >= 0 bound constraints."""
     inner = brute_force_core_oracle(game)
+    n = game.n
 
     def oracle(point: Sequence[Fraction]) -> SeparationResult:
-        values = [as_rational(v) for v in point]
+        values = _query_point(point, n)
         for i, v in enumerate(values):
             if v < 0:
                 return SeparationResult(False, negative_agent=i + 1, amount=-v)
         return inner(values)
 
     return oracle
+
+
+def _lift(
+    shares: tuple[Fraction, ...], c_n: Fraction, core_sep: CoreOracle, game: Game | None = None
+) -> SeparationResult:
+    """The n-query reduction of both separation variants.
+
+    ``game`` turns on the nonnegative variant's shortcut, which reports N
+    minus k before lowering coordinate k would take it below zero.
+    """
+    n = len(shares)
+    total = sum(shares, _ZERO)
+    for k in range(n):
+        rest = total - shares[k]
+        ceiling = c_n - rest
+        if game is not None and ceiling < 0:
+            # x(N \ {k}) > c(N) >= c(N \ {k}): that coalition is violated as is.
+            bits = ((1 << n) - 1) ^ (1 << k)
+            return SeparationResult(False, Coalition(bits, n), rest - game.cost_bits(bits))
+        if ceiling >= shares[k]:
+            lowered = shares
+        else:
+            lowered = shares[:k] + (ceiling,) + shares[k + 1 :]
+        result = core_sep(lowered)
+        if not result.member:
+            if result.coalition is None or result.coalition.is_grand():
+                raise PreconditionError(
+                    "core oracle failed: no proper coalition reported for a query "
+                    "point with total at most c(N)"
+                )
+            amount = result.amount
+            if (result.coalition.bits >> k) & 1 and lowered[k] != shares[k]:
+                amount += shares[k] - lowered[k]
+            return SeparationResult(False, result.coalition, amount)
+    return SeparationResult(True)
 
 
 def separate_almost_core(
@@ -381,29 +440,7 @@ def separate_almost_core(
     queries pass, the original point satisfies every proper-coalition
     constraint.
     """
-    shares = tuple(as_rational(v) for v in xhat)
-    c_n = as_rational(c_grand)
-    total = sum(shares, _ZERO)
-    n = len(shares)
-    for k in range(n):
-        ceiling = c_n - (total - shares[k])
-        if ceiling >= shares[k]:
-            lowered = shares
-        else:
-            lowered = shares[:k] + (ceiling,) + shares[k + 1 :]
-        result = core_sep(lowered)
-        if not result.member:
-            if result.coalition is None or result.coalition.is_grand():
-                raise PreconditionError(
-                    "core oracle failed: reported the grand coalition for a "
-                    "point with total at most c(N)"
-                )
-            bits = result.coalition.bits
-            amount = result.amount
-            if (bits >> k) & 1 and lowered[k] != shares[k]:
-                amount += shares[k] - lowered[k]
-            return SeparationResult(False, result.coalition, amount)
-    return SeparationResult(True)
+    return _lift(tuple(as_rational(v) for v in xhat), as_rational(c_grand), core_sep)
 
 
 def separate_almost_core_nonneg(
@@ -422,38 +459,9 @@ def separate_almost_core_nonneg(
             "nonnegative separation reduction requires c(N \\ {k}) <= c(N)"
         )
     shares = tuple(as_rational(v) for v in xhat)
-    n = game.n
-    if len(shares) != n:
+    if len(shares) != game.n:
         raise ValueError("point length does not match the game")
     for i, v in enumerate(shares):
         if v < 0:
             return SeparationResult(False, negative_agent=i + 1, amount=-v)
-    c_n = game.grand_cost()
-    total = sum(shares, _ZERO)
-    full = (1 << n) - 1
-    for k in range(n):
-        rest = total - shares[k]
-        ceiling = c_n - rest
-        if ceiling < 0:
-            # x(N \ {k}) > c(N) >= c(N \ {k}): that coalition is violated as is.
-            bits = full ^ (1 << k)
-            return SeparationResult(
-                False, Coalition(bits, n), rest - game.cost_bits(bits)
-            )
-        if ceiling >= shares[k]:
-            lowered = shares
-        else:
-            lowered = shares[:k] + (ceiling,) + shares[k + 1 :]
-        result = core_sep(lowered)
-        if not result.member:
-            if result.coalition is None or result.coalition.is_grand():
-                raise PreconditionError(
-                    "core oracle failed: lowered query points are nonnegative "
-                    "with total at most c(N)"
-                )
-            bits = result.coalition.bits
-            amount = result.amount
-            if (bits >> k) & 1 and lowered[k] != shares[k]:
-                amount += shares[k] - lowered[k]
-            return SeparationResult(False, result.coalition, amount)
-    return SeparationResult(True)
+    return _lift(shares, game.grand_cost(), core_sep, game)

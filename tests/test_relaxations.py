@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import allocore.relaxations
 from allocore.coalition import Coalition
 from allocore.errors import PreconditionError, UndefinedRatioError
 from allocore.games import (
@@ -229,6 +230,43 @@ class TestFullReport:
         assert r.gamma_approx is None
         assert r.ac_opt_nonneg == 5
 
+    def test_one_core_solve(self, monkeypatch, unbalanced3):
+        calls = []
+
+        def counting(game, objective):
+            calls.append(objective)
+            return core_optimum(game, objective)
+
+        monkeypatch.setattr(allocore.relaxations, "core_optimum", counting)
+        full_report(unbalanced3)
+        assert len(calls) == 1
+
+    @staticmethod
+    def _assert_matches_standalone(game):
+        r = full_report(game)
+        assert (r.core_nonempty, r.core_allocation) == core_nonempty(game)
+        mult = mult_core_eps(game)
+        assert (r.eps_mult, r.eps_mult_allocation) == ((None, None) if mult is None else mult)
+        if game.grand_cost() == 0:
+            assert (r.gamma_approx, r.gamma_allocation) == (None, None)
+        else:
+            assert (r.gamma_approx, r.gamma_allocation) == gamma_approx(game)
+        assert r.cost_of_stability == cost_of_stability(game)
+        return r
+
+    def test_shared_quantities_match_standalone_functions(self, gap5):
+        rng = Random(37)
+        for _ in range(12):
+            n = rng.randint(2, 5)
+            game = random_explicit_game(rng, n) if rng.random() < 0.5 else random_empty_core_game(rng, n)
+            self._assert_matches_standalone(game)
+        r = self._assert_matches_standalone(MstGame(gap5))  # c(N) = 0
+        assert r.gamma_approx is None and r.cost_of_stability == 0
+        # m = 0 < c(N): no finite multiplicative scaling, gamma 0
+        r = self._assert_matches_standalone(ExplicitGame(2, [0, 0, 0, 1]))
+        assert r.eps_mult is None and r.eps_mult_allocation is None
+        assert r.gamma_approx == 0 and r.cost_of_stability == 1
+
     def test_random_balanced_games(self):
         rng = Random(31)
         found = 0
@@ -359,6 +397,28 @@ class TestSeparation:
         assert res.negative_agent == 2
         assert res.amount == 1
 
+    def test_nonneg_rest_above_grand_cost_short_circuits(self, steiner):
+        # x({2,3}) = 4 > c(N) = 1: {2,3} is reported at k = 1, before any query
+        game = MstGame(steiner, monotonized=True)
+
+        def exploding_oracle(point):
+            raise RuntimeError("the oracle must not be consulted")
+
+        res = separate_almost_core_nonneg([0, 2, 2], exploding_oracle, game)
+        assert res.verdict == "violated"
+        assert res.coalition == Coalition.from_members([2, 3], 3)
+        assert res.amount == 3
+
+    def test_oracles_reject_points_of_the_wrong_length(self):
+        game = ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2])
+        for factory in (brute_force_core_oracle, brute_force_nonneg_core_oracle):
+            oracle = factory(game)
+            for point in ([0, 0, 0, 100], [1, 1], [-1, 0]):
+                with pytest.raises(ValueError):
+                    oracle(point)
+        with pytest.raises(ValueError):
+            separate_almost_core([0, 0, 0, 100], brute_force_core_oracle(game), game.grand_cost())
+
     def test_nonneg_requires_last_monotone(self, gap5):
         game = MstGame(gap5)
         oracle = brute_force_nonneg_core_oracle(game)
@@ -388,3 +448,12 @@ class TestSeparation:
             oracle = brute_force_nonneg_core_oracle(game)
             res = separate_almost_core_nonneg(point, oracle, game)
             assert res.member == almost_core_nonneg_member(game, point)
+            if res.member:
+                continue
+            if res.negative_agent is not None:
+                assert res.coalition is None
+                assert point[res.negative_agent - 1] == -res.amount < 0
+            else:
+                violated = sum(point[i - 1] for i in res.coalition.members())
+                assert res.coalition.is_proper()
+                assert violated - game.cost(res.coalition) == res.amount > 0
