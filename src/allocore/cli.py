@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from random import Random
@@ -303,9 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_point(argv: list[str]) -> list[str]:
+    """Spell ``--point -5,5,5`` as ``--point=-5,5,5``: argparse reads a value
+    that starts with '-' and is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--point" and re.match(r"-[\d.]", arg):
+            out[-1] = f"--point={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_point(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InstanceParseError as exc:

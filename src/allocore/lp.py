@@ -1,16 +1,21 @@
-"""Dense exact-rational linear programming.
+"""Exact linear programming on sparse integer rows.
 
-A two-phase primal simplex over fractions.Fraction with Bland's
-anti-cycling rule. Problems are stated as maximization with mixed
-<=, ==, >= rows and optional per-variable lower bounds (None = free).
-Free variables are split into differences of nonnegatives internally, so
-every returned optimum is a vertex of the feasible region augmented by
-the bound constraints. No floating point is used anywhere.
+A two-phase primal simplex with Bland's anti-cycling rule. Problems are
+stated as maximization with mixed <=, ==, >= rows and optional
+per-variable lower bounds (None = free). Free variables are split into
+differences of nonnegatives internally, so every returned optimum is a
+vertex of the feasible region augmented by the bound constraints.
 
-Instances at the intended scale are tiny (at most a few thousand rows,
-a few dozen structural columns), so the implementation favours exactness
-and determinism over speed: fixed variable order, ascending row order,
-no presolve.
+The tableau keeps each row as a dict of its nonzero integer numerators
+over one positive integer denominator of its own, so a pivot touches only
+the rows with a nonzero in the pivot column and does only integer
+arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is
+divided by the gcd of its entries). Every tableau entry is the same
+rational as in a dense Fraction tableau, so the pivot choices, and the
+returned values, are those of the textbook method; values are handed back
+as fractions.Fraction and every optimum is checked with verify_point. No
+floating point is used anywhere. Column and row order are fixed and
+there is no presolve, so identical problems give identical solutions.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .games import as_rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 LE = "<="
 EQ = "=="
@@ -120,75 +125,107 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
     return VerifyResult(not bad_rows and not bad_bounds, tuple(bad_rows), tuple(bad_bounds))
 
 
-class _Tableau:
-    """Simplex tableau with unit basis columns maintained by pivoting."""
+class _Row:
+    """A tableau row: column j holds coef[j] / den and the right-hand side is
+    rhs / den, with den > 0. Only nonzero entries are stored."""
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction], basis: list[int]):
-        self.rows = rows
+    __slots__ = ("coef", "rhs", "den")
+
+    def __init__(self, coef: dict[int, int], rhs: int, den: int):
+        self.coef = coef
         self.rhs = rhs
+        self.den = den
+
+    @classmethod
+    def scaled(cls, entries: dict[int, Fraction], rhs: Fraction) -> _Row:
+        """The row of these rational entries over the lcm of their denominators."""
+        den = lcm(rhs.denominator, *(v.denominator for v in entries.values()))
+        coef = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
+        return cls(coef, rhs.numerator * (den // rhs.denominator), den)
+
+    def reduce(self) -> None:
+        """Divide the row by the gcd of its denominator and numerators."""
+        if self.den == 1:
+            return
+        g = gcd(self.den, self.rhs, *self.coef.values())
+        if g > 1:
+            self.coef = {j: v // g for j, v in self.coef.items()}
+            self.rhs //= g
+            self.den //= g
+
+    def eliminate(self, prow: _Row, c: int) -> None:
+        """Subtract the multiple of prow that clears column c; prow reads 1 there."""
+        coef = self.coef
+        f = coef.pop(c)
+        p = prow.den
+        if p != 1:
+            for j in coef:
+                coef[j] *= p
+        for j, v in prow.coef.items():
+            if j != c:
+                w = coef.get(j, 0) - f * v
+                if w:
+                    coef[j] = w
+                else:
+                    del coef[j]
+        self.rhs = p * self.rhs - f * prow.rhs
+        self.den *= p
+        self.reduce()
+
+
+class _Tableau:
+    """Simplex tableau. Column basis[r] reads 1 in row r and 0 in every other
+    row; cost holds the reduced costs, whose signs pick the entering column."""
+
+    def __init__(self, rows: list[_Row], basis: list[int], cost: _Row):
+        self.rows = rows
         self.basis = basis
+        self.cost = cost
 
-    def pivot(self, r: int, c: int, cost: list[Fraction]) -> Fraction:
-        """Pivot on (r, c); returns the objective gain cost[c] * new rhs[r]."""
+    def pivot(self, r: int, c: int) -> None:
+        """Pivot on (r, c): scale row r to read 1 in column c, then clear
+        column c from every other row and from the cost row."""
         prow = self.rows[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = _ONE / piv
-            for j, v in enumerate(prow):
-                if v:
-                    prow[j] = v * inv
-            self.rhs[r] *= inv
-        nz = [j for j, v in enumerate(prow) if v]
-        br = self.rhs[r]
-        for rr, row in enumerate(self.rows):
-            if rr == r:
-                continue
-            f = row[c]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                if br:
-                    self.rhs[rr] -= f * br
-        gain = _ZERO
-        f = cost[c]
-        if f:
-            for j in nz:
-                cost[j] -= f * prow[j]
-            gain = f * br
+        p = prow.coef[c]
+        if p < 0:
+            prow.coef = {j: -v for j, v in prow.coef.items()}
+            prow.rhs = -prow.rhs
+            p = -p
+        prow.den = p
+        prow.reduce()
+        for i, row in enumerate(self.rows):
+            if i != r and c in row.coef:
+                row.eliminate(prow, c)
+        if c in self.cost.coef:
+            self.cost.eliminate(prow, c)
         self.basis[r] = c
-        return gain
 
-    def run_simplex(self, cost: list[Fraction], allowed_cols: int) -> str:
-        """Bland-rule primal simplex; mutates tableau/cost in place.
+    def run_simplex(self) -> str:
+        """Bland-rule primal simplex; mutates the tableau in place.
 
-        Returns "optimal" or "unbounded". Columns >= allowed_cols are
-        never entered (used to freeze artificial columns in phase 2).
+        Returns "optimal" or "unbounded". The entering column is the smallest
+        one with a positive reduced cost; the leaving row has the smallest
+        ratio rhs / a over rows with a > 0 (row denominators cancel), ties
+        going to the smaller basis index.
         """
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+        rows, basis = self.rows, self.basis
         while True:
-            enter = -1
-            for j in range(allowed_cols):
-                if cost[j] > 0:
-                    enter = j
-                    break
+            enter = min((j for j, v in self.cost.coef.items() if v > 0), default=-1)
             if enter < 0:
                 return "optimal"
             leave = -1
-            best_ratio: Fraction | None = None
             for r, row in enumerate(rows):
-                a = row[enter]
+                a = row.coef.get(enter, 0)
                 if a > 0:
-                    ratio = rhs[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = r
+                    if leave < 0:
+                        leave, best_rhs, best_a = r, row.rhs, a
+                        continue
+                    lhs, rhs = row.rhs * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                        leave, best_rhs, best_a = r, row.rhs, a
             if leave < 0:
                 return "unbounded"
-            self.pivot(leave, enter, cost)
+            self.pivot(leave, enter)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -196,131 +233,100 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Deterministic: identical problems yield bit-identical solutions.
     """
-    n = problem.num_vars
     # Column layout: one column per bounded variable (shifted by its lower
     # bound), two per free variable (positive and negative parts).
     col_var: list[tuple[int, int]] = []  # (variable index, sign)
+    first_col: list[int] = []
     shift: list[Fraction] = []
     for i, lb in enumerate(problem.lower_bounds):
+        first_col.append(len(col_var))
+        col_var.append((i, 1))
         if lb is None:
-            col_var.append((i, 1))
             col_var.append((i, -1))
-            shift.append(_ZERO)
-        else:
-            col_var.append((i, 1))
-            shift.append(lb)
+        shift.append(_ZERO if lb is None else lb)
     nstruct = len(col_var)
 
-    m = len(problem.constraints)
-    nslack = sum(1 for con in problem.constraints if con.relation != EQ)
-    width = nstruct + nslack
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    slack_col_of_row: list[int | None] = []
-    slack_idx = 0
-    for con in problem.constraints:
-        row = [_ZERO] * width
-        for j, (i, sign) in enumerate(col_var):
-            c = con.coeffs[i]
+    def columns(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
+        """The nonzero coefficients of a row or objective, by column."""
+        entries = {}
+        for i, c in enumerate(coeffs):
             if c:
-                row[j] = c if sign > 0 else -c
-        b = con.rhs - sum(
-            (con.coeffs[i] * shift[i] for i in range(n) if shift[i]), _ZERO
-        )
-        if con.relation == EQ:
-            scol = None
-        else:
-            scol = nstruct + slack_idx
-            row[scol] = _ONE if con.relation == LE else -_ONE
-            slack_idx += 1
+                entries[first_col[i]] = c
+                if problem.lower_bounds[i] is None:
+                    entries[first_col[i] + 1] = -c
+        return entries
+
+    # Each row is scaled to integers once; its slack reads +1 (<=) or -1 (>=).
+    rows: list[_Row] = []
+    slack_col_of_row: list[int | None] = []
+    width = nstruct
+    for con in problem.constraints:
+        b = con.rhs - sum((c * s for c, s in zip(con.coeffs, shift) if c and s), _ZERO)
+        row = _Row.scaled(columns(con.coeffs), b)
+        scol = None
+        if con.relation != EQ:
+            scol = width
+            width += 1
+            row.coef[scol] = row.den if con.relation == LE else -row.den
         if b < 0:
-            row = [-v for v in row]
-            b = -b
+            row.coef = {j: -v for j, v in row.coef.items()}
+            row.rhs = -row.rhs
         rows.append(row)
-        rhs.append(b)
         slack_col_of_row.append(scol)
 
     # Initial basis: use the slack where it survived with coefficient +1,
     # otherwise an artificial column (appended after all real columns).
-    basis: list[int] = [-1] * m
+    basis: list[int] = []
     art_rows: list[int] = []
-    for r in range(m):
-        scol = slack_col_of_row[r]
-        if scol is not None and rows[r][scol] == 1:
-            basis[r] = scol
+    for r, (row, scol) in enumerate(zip(rows, slack_col_of_row)):
+        if scol is not None and row.coef[scol] > 0:
+            basis.append(scol)
         else:
+            basis.append(width + len(art_rows))
+            row.coef[basis[r]] = row.den
             art_rows.append(r)
-    nart = len(art_rows)
-    if nart:
-        for row in rows:
-            row.extend([_ZERO] * nart)
-        for k, r in enumerate(art_rows):
-            rows[r][width + k] = _ONE
-            basis[r] = width + k
 
-    tab = _Tableau(rows, rhs, basis)
-
-    if nart:
-        # Phase 1: maximize -(sum of artificials), starting value -(sum b_r).
-        cost = [_ZERO] * (width + nart)
-        zval = _ZERO
+    if art_rows:
+        # Phase 1: maximize -(sum of artificials), priced out against their rows.
+        cost = _Row({width + k: -1 for k in range(len(art_rows))}, 0, 1)
         for r in art_rows:
-            row = rows[r]
-            for j in range(width):
-                if row[j]:
-                    cost[j] += row[j]
-            zval -= rhs[r]
-        verdict = tab.run_simplex(cost, width + nart)
+            cost.eliminate(rows[r], basis[r])
+        tab = _Tableau(rows, basis, cost)
+        verdict = tab.run_simplex()
         if verdict != "optimal":  # the phase-1 objective is bounded by 0
             raise AssertionError("phase 1 cannot be unbounded")
-        # Recompute the attained value exactly from the basic solution.
-        attained = _ZERO
-        for r in range(m):
-            if basis[r] >= width:
-                attained -= rhs[r]
-        if attained < 0:
+        # Right-hand sides stay nonnegative, so the optimum is 0 exactly
+        # when every artificial still in the basis sits at 0.
+        if any(row.rhs for row, bcol in zip(rows, basis) if bcol >= width):
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis; drop redundant rows.
         r = 0
         while r < len(rows):
             if basis[r] >= width:
-                prow = rows[r]
-                pivot_col = next((j for j in range(width) if prow[j]), None)
+                pivot_col = min((j for j in rows[r].coef if j < width), default=None)
                 if pivot_col is None:
-                    del rows[r], rhs[r], basis[r]
+                    del rows[r], basis[r]
                     continue
-                tab.pivot(r, pivot_col, cost)
+                tab.pivot(r, pivot_col)
             r += 1
         for row in rows:
-            del row[width:]
+            row.coef = {j: v for j, v in row.coef.items() if j < width}
 
     # Phase 2: reduce the real objective against the current basis.
-    obj = [_ZERO] * width
-    for j, (i, sign) in enumerate(col_var):
-        c = problem.objective[i]
-        if c:
-            obj[j] = c if sign > 0 else -c
-    cost = list(obj)
-    for r, bcol in enumerate(basis):
-        f = obj[bcol]
-        if f:
-            row = tab.rows[r]
-            for j in range(width):
-                if row[j]:
-                    cost[j] -= f * row[j]
-            cost[bcol] = _ZERO  # exact by construction; avoid drift
-    verdict = tab.run_simplex(cost, width)
+    cost = _Row.scaled(columns(problem.objective), _ZERO)
+    for row, bcol in zip(rows, basis):
+        if bcol in cost.coef:
+            cost.eliminate(row, bcol)
+    tab = _Tableau(rows, basis, cost)
+    verdict = tab.run_simplex()
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    y = [_ZERO] * width
-    for r, bcol in enumerate(tab.basis):
-        y[bcol] = tab.rhs[r]
-    x = [shift[i] for i in range(n)]
-    for j, (i, sign) in enumerate(col_var):
-        if y[j]:
-            x[i] += y[j] if sign > 0 else -y[j]
+    x = list(shift)
+    for row, bcol in zip(rows, basis):
+        if bcol < nstruct and row.rhs:
+            i, sign = col_var[bcol]
+            x[i] += Fraction(sign * row.rhs, row.den)
     value = sum((c * v for c, v in zip(problem.objective, x) if c), _ZERO)
     point = tuple(x)
 

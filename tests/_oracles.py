@@ -145,3 +145,118 @@ def dual_of_canonical(objective, rows, rhs):
     for j in range(n):
         dual.add([rows[i][j] for i in range(m)], ">=", objective[j])
     return dual
+
+
+def reference_simplex(problem):
+    """Dense Fraction two-phase simplex with Bland's rule, for auditing ``solve``.
+
+    Reads an ``LpProblem`` and makes the pivot choices that ``allocore.lp``
+    is specified to make: the entering column is the smallest index with a
+    positive reduced cost, the leaving row has the smallest ratio with ties
+    to the smaller basis index, and after phase 1 each artificial left in the
+    basis is pivoted out on its row's smallest nonzero real column (the row is
+    deleted when it has none). Returns ``(status, value, point, trace)``:
+    status is "optimal", "infeasible" or "unbounded", value and point are
+    None unless optimal, and trace lists every pivot as (row, column).
+    """
+    zero = Fraction(0)
+    n = problem.num_vars
+    col_var = []  # (variable, sign): free variables get a +/- pair of columns
+    shift = []
+    for i, lb in enumerate(problem.lower_bounds):
+        col_var.append((i, 1))
+        if lb is None:
+            col_var.append((i, -1))
+        shift.append(zero if lb is None else lb)
+    nstruct = len(col_var)
+    width = nstruct + sum(1 for con in problem.constraints if con.relation != "==")
+
+    rows, rhs, slack_of = [], [], []
+    for con in problem.constraints:
+        row = [con.coeffs[i] * sign for i, sign in col_var] + [zero] * (width - nstruct)
+        b = con.rhs - sum(con.coeffs[i] * shift[i] for i in range(n))
+        scol = None
+        if con.relation != "==":
+            scol = nstruct + sum(1 for s in slack_of if s is not None)
+            row[scol] = Fraction(1 if con.relation == "<=" else -1)
+        if b < 0:
+            row, b = [-v for v in row], -b
+        rows.append(row)
+        rhs.append(b)
+        slack_of.append(scol)
+
+    basis = []
+    art_rows = []
+    for r, scol in enumerate(slack_of):
+        if scol is not None and rows[r][scol] == 1:
+            basis.append(scol)
+        else:
+            basis.append(width + len(art_rows))
+            art_rows.append(r)
+    for row in rows:
+        row.extend(zero for _ in art_rows)
+    for k, r in enumerate(art_rows):
+        rows[r][width + k] = Fraction(1)
+    trace = []
+
+    def pivot(r, c, cost):
+        trace.append((r, c))
+        piv = rows[r][c]
+        rows[r] = [v / piv for v in rows[r]]
+        rhs[r] /= piv
+        for rr in range(len(rows)):
+            f = rows[rr][c]
+            if rr != r and f:
+                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
+                rhs[rr] -= f * rhs[r]
+        f = cost[c]
+        cost[:] = [a - f * b for a, b in zip(cost, rows[r])]
+        basis[r] = c
+
+    def simplex(cost):
+        while True:
+            enter = next((j for j, v in enumerate(cost) if v > 0), None)
+            if enter is None:
+                return "optimal"
+            leave = None
+            for r, row in enumerate(rows):
+                if row[enter] > 0:
+                    ratio = rhs[r] / row[enter]
+                    if leave is None or (ratio, basis[r]) < (rhs[leave] / rows[leave][enter], basis[leave]):
+                        leave = r
+            if leave is None:
+                return "unbounded"
+            pivot(leave, enter, cost)
+
+    if art_rows:
+        cost = [sum((rows[r][j] for r in art_rows), zero) if j < width else zero
+                for j in range(width + len(art_rows))]
+        if simplex(cost) != "optimal":
+            raise AssertionError("phase 1 cannot be unbounded")
+        if any(rhs[r] for r in range(len(rows)) if basis[r] >= width):
+            return "infeasible", None, None, trace
+        r = 0
+        while r < len(rows):
+            if basis[r] >= width:
+                col = next((j for j in range(width) if rows[r][j]), None)
+                if col is None:
+                    del rows[r], rhs[r], basis[r]
+                    continue
+                pivot(r, col, cost)
+            r += 1
+        rows[:] = [row[:width] for row in rows]
+
+    obj = [problem.objective[i] * sign for i, sign in col_var] + [zero] * (width - nstruct)
+    cost = list(obj)
+    for r, b in enumerate(basis):
+        cost = [a - obj[b] * v for a, v in zip(cost, rows[r])]
+    if simplex(cost) == "unbounded":
+        return "unbounded", None, None, trace
+
+    x = list(shift)
+    for r, b in enumerate(basis):
+        if b < nstruct:
+            i, sign = col_var[b]
+            x[i] += sign * rhs[r]
+    value = sum((c * v for c, v in zip(problem.objective, x)), zero)
+    return "optimal", value, tuple(x), trace

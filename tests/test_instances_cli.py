@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -313,6 +314,13 @@ class TestCliSeparate:
         report = json.loads(out)
         assert report["verdict"] == "bound_violated"
         assert report["agent"] == 2
+
+    def test_point_with_a_negative_first_entry(self, capsys):
+        path = str(Path(__file__).resolve().parent.parent / "instances" / "subsidy_k5.json")
+        joined = run_cli(capsys, "separate", path, "--point=-5,5,5")
+        spaced = run_cli(capsys, "separate", path, "--point", "-5,5,5")
+        assert joined[0] == 0
+        assert spaced == joined
 
 
 class TestCliBench:

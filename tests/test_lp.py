@@ -4,11 +4,25 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allocore.lp import LpProblem, LpStatus, solve, verify_point
+from allocore.lp import LpProblem, LpStatus, _Tableau, solve, verify_point
 from allocore.mstgame import MstGame
 from allocore.relaxations import almost_core_problem
 
-from _oracles import dual_of_canonical, polyhedron_max
+from _oracles import dual_of_canonical, polyhedron_max, reference_simplex
+
+
+def traced_solve(problem):
+    """``solve(problem)`` and the (row, column) of every pivot it made."""
+    trace = []
+    pivot = _Tableau.pivot
+
+    def recording(self, r, c, *args):
+        trace.append((r, c))
+        return pivot(self, r, c, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "pivot", recording)
+        return solve(problem), trace
 
 
 def test_pair_constraint_binds():
@@ -190,3 +204,141 @@ def test_optimal_points_pass_verify(data):
         check = verify_point(problem, sol.point)
         assert check.feasible
         assert sol.value == sum(c * v for c, v in zip(problem.objective, sol.point))
+
+
+# Denominators 3, 7, 11 and 13 are pairwise coprime, so row scaling, row
+# denominators and their gcd reductions all get work to do.
+coprime_fractions = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 7, 11, 13])
+)
+
+
+@st.composite
+def mixed_programs(draw):
+    """LPs with mixed relations, negative right-hand sides, free and shifted
+    variables, and redundant or contradicting equality rows."""
+    n = draw(st.integers(1, 4))
+    bounds = draw(st.lists(st.none() | st.just(Fraction(0)) | coprime_fractions,
+                           min_size=n, max_size=n))
+    problem = LpProblem(n, draw(st.lists(coprime_fractions, min_size=n, max_size=n)), bounds)
+    for _ in range(draw(st.integers(0, 5))):
+        problem.add(
+            draw(st.lists(coprime_fractions, min_size=n, max_size=n)),
+            draw(st.sampled_from(["<=", ">=", "=="])),
+            draw(coprime_fractions),
+        )
+    equalities = [con for con in problem.constraints if con.relation == "=="]
+    for _ in range(draw(st.integers(0, 2)) if equalities else 0):
+        # a combination of equality rows: redundant, or contradicting when shifted
+        a, b = draw(coprime_fractions), draw(coprime_fractions)
+        first, second = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
+        shift = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3)]))
+        problem.add(
+            [a * u + b * v for u, v in zip(first.coeffs, second.coeffs)],
+            "==",
+            a * first.rhs + b * second.rhs + shift,
+        )
+    if draw(st.booleans()):  # a box keeps most of these bounded
+        for i in range(n):
+            unit = [Fraction(0)] * n
+            unit[i] = Fraction(1)
+            problem.add(unit, "<=", Fraction(5))
+            problem.add(unit, ">=", Fraction(-5))
+    return problem
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_programs())
+def test_same_pivots_and_result_as_reference_simplex(problem):
+    sol, trace = traced_solve(problem)
+    status, value, point, expected_trace = reference_simplex(problem)
+    assert sol.status.value == status
+    assert sol.value == value
+    assert sol.point == point
+    assert trace == expected_trace
+    if sol.is_optimal:
+        assert verify_point(problem, sol.point).feasible
+
+
+def assert_optimal_vertex(problem, sol):
+    """The optimum passes verify_point and is a best vertex by enumeration."""
+    assert sol.status is LpStatus.OPTIMAL
+    assert verify_point(problem, sol.point).feasible
+    n = problem.num_vars
+    rows = [list(con.coeffs) for con in problem.constraints]
+    rhs = [con.rhs for con in problem.constraints]
+    rels = [con.relation for con in problem.constraints]
+    for i, lb in enumerate(problem.lower_bounds):
+        if lb is not None:
+            rows.append([Fraction(-(k == i)) for k in range(n)])
+            rhs.append(-lb)
+            rels.append("<=")
+    best, argmax = polyhedron_max(problem.objective, rows, rhs, rels)
+    assert sol.value == best
+    assert sol.point in argmax
+
+
+def test_drive_out_on_a_negative_pivot():
+    # Both equalities keep their artificial at 0 after phase 1. Row 0 reads
+    # -1 in its smallest real column, so it is driven out on a negative
+    # pivot; row 1 is then a copy of row 0 and is deleted.
+    p = LpProblem(2, [1, 0], [0, 0])
+    p.add([-1, 1], "==", 0)
+    p.add([1, -1], "==", 0)
+    p.add([1, 1], "<=", 2)
+    pivots = []
+    pivot = _Tableau.pivot
+
+    def recording(self, r, c):
+        pivots.append(self.rows[r].coef[c])
+        pivot(self, r, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "pivot", recording)
+        sol = solve(p)
+    assert pivots[0] == -1
+    assert sol.point == (1, 1)
+    assert_optimal_vertex(p, sol)
+
+
+def test_gcd_reduction_lowers_a_row_denominator():
+    # The last pivot, on the slack of 2x <= 4 (denominator 1), leaves row 0
+    # as (2x + 2y + 2s) / 2 = 6 / 2; the gcd brings it back to x + y + s = 3.
+    p = LpProblem(2, [2, 3], [0, 0])
+    p.add([1, 1], "<=", 3)
+    p.add([2, 0], "<=", 4)
+    reduced = []
+    pivot = _Tableau.pivot
+
+    def recording(self, r, c):
+        dens = [row.den for row in self.rows]
+        touched = [i for i, row in enumerate(self.rows) if i != r and c in row.coef]
+        pivot(self, r, c)
+        d = self.rows[r].den
+        reduced.extend((i, dens[i] * d, self.rows[i].den) for i in touched
+                       if self.rows[i].den != dens[i] * d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "pivot", recording)
+        sol = solve(p)
+    assert reduced == [(0, 2, 1)]
+    assert sol.value == 9
+    assert_optimal_vertex(p, sol)
+
+
+def test_optimum_with_a_denominator_above_64_bits():
+    # x0 <= 1 / a0 and x_i <= x_(i-1) / a_i all bind, so x_4 = prod(1 / a_i).
+    a = [Fraction(8191, 3), Fraction(8209, 7), Fraction(8219, 11), Fraction(8221, 13), Fraction(8231)]
+    p = LpProblem(5, [1] * 5, [0] * 5)
+    p.add([a[0], 0, 0, 0, 0], "<=", 1)
+    for i in range(1, 5):
+        row = [Fraction(0)] * 5
+        row[i - 1], row[i] = Fraction(-1), a[i]
+        p.add(row, "<=", 0)
+    sol = solve(p)
+    expected = []
+    for ai in a:
+        expected.append((expected[-1] if expected else 1) / ai)
+    assert sol.point == tuple(expected)
+    assert sol.point[4].denominator > 2**64
+    assert_optimal_vertex(p, sol)
