@@ -107,6 +107,15 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _ratio(optimum: Fraction, value: Fraction) -> Fraction:
+    """The realized approximation ratio optimum / value; 1 when both are 0."""
+    if value > 0:
+        return optimum / value
+    if optimum != 0:
+        raise AssertionError("approximation returned 0 against a positive optimum")
+    return Fraction(1)
+
+
 def cmd_mst(args) -> int:
     instance = instances.load(args.file)
     graph = instances.to_graph(instance)
@@ -150,13 +159,7 @@ def cmd_mst(args) -> int:
     if graph.n <= args.limit:
         optimum, _ = almost_core_optimum(MstGame(graph), require_nonneg=True)
         out["optimum"] = str(optimum)
-        if value > 0:
-            ratio = optimum / value
-        else:
-            if optimum != 0:
-                raise AssertionError("approximation returned 0 against a positive optimum")
-            ratio = Fraction(1)
-        out["ratio"] = str(ratio)
+        out["ratio"] = str(_ratio(optimum, value))
     _emit(out, args.decimal)
     return EXIT_OK
 
@@ -226,12 +229,7 @@ def cmd_bench(args) -> int:
         allocation, _ = almost_core_approx(graph)
         value = allocation.total()
         optimum, _ = almost_core_optimum(MstGame(graph), require_nonneg=True)
-        if value > 0:
-            ratio = optimum / value
-        else:
-            if optimum != 0:
-                raise AssertionError("approximation returned 0 against a positive optimum")
-            ratio = Fraction(1)
+        ratio = _ratio(optimum, value)
         if not 1 <= ratio <= 2:
             raise AssertionError(f"realized ratio {ratio} outside [1, 2] on instance {index}")
         ratios.append(ratio)

@@ -51,9 +51,6 @@ class Coalition:
     def size(self) -> int:
         return self.bits.bit_count()
 
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
     def is_grand(self) -> bool:
         return self.bits == (1 << self.n) - 1
 
@@ -67,64 +64,12 @@ class Coalition:
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
 
-    def _check_same_universe(self, other: "Coalition") -> None:
-        if self.n != other.n:
-            raise ValueError("coalitions over different agent sets")
-
-    def __or__(self, other: "Coalition") -> "Coalition":
-        self._check_same_universe(other)
-        return Coalition(self.bits | other.bits, self.n)
-
-    def __and__(self, other: "Coalition") -> "Coalition":
-        self._check_same_universe(other)
-        return Coalition(self.bits & other.bits, self.n)
-
-    def __sub__(self, other: "Coalition") -> "Coalition":
-        self._check_same_universe(other)
-        return Coalition(self.bits & ~other.bits, self.n)
-
-    def complement(self) -> "Coalition":
-        return Coalition(((1 << self.n) - 1) ^ self.bits, self.n)
-
-    def is_subset_of(self, other: "Coalition") -> bool:
-        self._check_same_universe(other)
-        return self.bits & ~other.bits == 0
-
-    def is_superset_of(self, other: "Coalition") -> bool:
-        return other.is_subset_of(self)
-
-    def is_disjoint_from(self, other: "Coalition") -> bool:
-        self._check_same_universe(other)
-        return self.bits & other.bits == 0
-
-    def with_agent(self, agent: int) -> "Coalition":
-        if not 1 <= agent <= self.n:
-            raise ValueError(f"agent {agent} not in 1..{self.n}")
-        return Coalition(self.bits | (1 << (agent - 1)), self.n)
-
-    def without_agent(self, agent: int) -> "Coalition":
-        if not 1 <= agent <= self.n:
-            raise ValueError(f"agent {agent} not in 1..{self.n}")
-        return Coalition(self.bits & ~(1 << (agent - 1)), self.n)
-
     def key(self) -> str:
         """Canonical comma-separated member list, e.g. "1,3". Empty set -> ""."""
         return ",".join(str(a) for a in self.members())
 
     def __str__(self) -> str:
         return "{" + self.key() + "}"
-
-
-def all_coalitions(n: int) -> Iterator[Coalition]:
-    """All 2^n coalitions in ascending bitmask order."""
-    for bits in range(1 << n):
-        yield Coalition(bits, n)
-
-
-def proper_coalitions(n: int) -> Iterator[Coalition]:
-    """Nonempty proper coalitions in ascending bitmask order."""
-    for bits in range(1, (1 << n) - 1):
-        yield Coalition(bits, n)
 
 
 def submasks_ascending(mask: int) -> Iterator[int]:

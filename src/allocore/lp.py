@@ -6,6 +6,12 @@ per-variable lower bounds (None = free). Free variables are split into
 differences of nonnegatives internally, so every returned optimum is a
 vertex of the feasible region augmented by the bound constraints.
 
+A row is a map from variable index to coefficient ({0: 1, 3: -2} is
+x0 - 2 x3); absent variables read 0. A stored ``Constraint`` keeps only the
+nonzero entries, in ascending variable order, so ``solve`` and
+``verify_point`` visit nothing else. The objective and the lower bounds
+are dense, one entry per variable.
+
 The tableau keeps each row as a dict of its nonzero integer numerators
 over one positive integer denominator of its own, so a pivot touches only
 the rows with a nonzero in the pivot column and does only integer
@@ -24,7 +30,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .games import as_rational
 
@@ -38,7 +44,7 @@ _RELATIONS = (LE, EQ, GE)
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: dict[int, Fraction]  # nonzeros only, ascending variable index
     relation: str
     rhs: Fraction
 
@@ -85,12 +91,21 @@ class LpProblem:
             ]
         self.constraints: list[Constraint] = []
 
-    def add(self, coeffs: Sequence[object], relation: str, rhs: object) -> None:
-        row = tuple(as_rational(v) for v in coeffs)
-        if len(row) != self.num_vars:
-            raise ValueError("coefficient vector length does not match num_vars")
+    def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
+        """Add the row sum(coeffs[i] * x_i) (relation) rhs.
+
+        ``coeffs`` maps variable indices in 0..num_vars-1 to coefficients;
+        absent variables read 0 and zero coefficients are dropped.
+        """
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
+        row = {}
+        for i, v in sorted(coeffs.items()):
+            if not isinstance(i, int) or not 0 <= i < self.num_vars:
+                raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
+            c = as_rational(v)
+            if c:
+                row[i] = c
         self.constraints.append(Constraint(row, relation, as_rational(rhs)))
 
 
@@ -108,7 +123,7 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
         raise ValueError("point length does not match num_vars")
     bad_rows = []
     for idx, con in enumerate(problem.constraints):
-        lhs = sum((c * v for c, v in zip(con.coeffs, x) if c), _ZERO)
+        lhs = sum((c * x[i] for i, c in con.coeffs.items()), _ZERO)
         if con.relation == LE:
             ok = lhs <= con.rhs
         elif con.relation == GE:
@@ -246,14 +261,13 @@ def solve(problem: LpProblem) -> LpSolution:
         shift.append(_ZERO if lb is None else lb)
     nstruct = len(col_var)
 
-    def columns(coeffs: Sequence[Fraction]) -> dict[int, Fraction]:
+    def columns(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
         """The nonzero coefficients of a row or objective, by column."""
         entries = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                entries[first_col[i]] = c
-                if problem.lower_bounds[i] is None:
-                    entries[first_col[i] + 1] = -c
+        for i, c in coeffs.items():
+            entries[first_col[i]] = c
+            if problem.lower_bounds[i] is None:
+                entries[first_col[i] + 1] = -c
         return entries
 
     # Each row is scaled to integers once; its slack reads +1 (<=) or -1 (>=).
@@ -261,7 +275,7 @@ def solve(problem: LpProblem) -> LpSolution:
     slack_col_of_row: list[int | None] = []
     width = nstruct
     for con in problem.constraints:
-        b = con.rhs - sum((c * s for c, s in zip(con.coeffs, shift) if c and s), _ZERO)
+        b = con.rhs - sum((c * shift[i] for i, c in con.coeffs.items() if shift[i]), _ZERO)
         row = _Row.scaled(columns(con.coeffs), b)
         scol = None
         if con.relation != EQ:
@@ -313,7 +327,7 @@ def solve(problem: LpProblem) -> LpSolution:
             row.coef = {j: v for j, v in row.coef.items() if j < width}
 
     # Phase 2: reduce the real objective against the current basis.
-    cost = _Row.scaled(columns(problem.objective), _ZERO)
+    cost = _Row.scaled(columns({i: c for i, c in enumerate(problem.objective) if c}), _ZERO)
     for row, bcol in zip(rows, basis):
         if bcol in cost.coef:
             cost.eliminate(row, bcol)

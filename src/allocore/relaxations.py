@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .coalition import Coalition
+from .coalition import Coalition, bits_members
 from .errors import PreconditionError, UndefinedRatioError
 from .games import (
     Allocation,
@@ -55,26 +55,20 @@ def _require_multi_agent(game: Game, what: str) -> None:
         )
 
 
-def _indicator(bits: int, num_vars: int) -> list[Fraction]:
-    row = [_ZERO] * num_vars
-    i = 0
-    b = bits
-    while b:
-        if b & 1:
-            row[i] = _ONE
-        b >>= 1
-        i += 1
-    return row
+def _indicator(bits: int, first: int = 0, value: Fraction = _ONE) -> dict[int, Fraction]:
+    """The row {first + i - 1: value} over the members i of a bitmask."""
+    return dict.fromkeys((first + i - 1 for i in bits_members(bits)), value)
 
 
 def _coalition_program(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, relation: str = "<=", extra: Callable[[int], list[Fraction]] | None = None,
+    what: str, relation: str = "<=", extra: Callable[[int], dict[int, Fraction]] | None = None,
     grand: str | None = None,
 ) -> LpProblem:
     """Rows x(S) + extra(S) . y (relation) c(S) for proper S in ascending bitmask order.
 
-    x are the first n variables, y the rest; a last row x(N) (grand) c(N) is
+    x are the first n variables, y the rest, and extra(S) maps y-variables
+    (indices n and up) to coefficients; a last row x(N) (grand) c(N) is
     added when ``grand`` names a relation.
     """
     check_enum_limit(game.n, f"building {what}")
@@ -83,12 +77,12 @@ def _coalition_program(
     if extra is None and problem.num_vars != n:
         raise ValueError("objective length does not match the game")
     for bits in range(1, (1 << n) - 1):
-        row = _indicator(bits, n)
+        row = _indicator(bits)
         if extra is not None:
-            row += extra(bits)
+            row.update(extra(bits))
         problem.add(row, relation, game.cost_bits(bits))
     if grand is not None:
-        problem.add([_ONE] * n + [_ZERO] * (problem.num_vars - n), grand, game.grand_cost())
+        problem.add(_indicator((1 << n) - 1), grand, game.grand_cost())
     return problem
 
 
@@ -162,7 +156,7 @@ def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], Fraction]) -
     n = game.n
     problem = _coalition_program(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="an epsilon-core program",
-        extra=lambda bits: [-weight_of_size(bits.bit_count())], grand="==",
+        extra=lambda bits: {n: -weight_of_size(bits.bit_count())}, grand="==",
     )
     solution = solve(problem)
     _ensure(solution.is_optimal, f"epsilon-core program came back {solution.status}")
@@ -215,7 +209,7 @@ def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocat
     n = game.n
     problem = _coalition_program(
         game, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n, what="the subsidy program",
-        extra=lambda bits: [-v for v in _indicator(bits, n)], grand="==",
+        extra=lambda bits: _indicator(bits, n, -_ONE), grand="==",
     )
     solution = solve(problem)
     _ensure(solution.is_optimal, f"subsidy program came back {solution.status}")

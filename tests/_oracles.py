@@ -143,7 +143,7 @@ def dual_of_canonical(objective, rows, rhs):
     n = len(objective)
     dual = LpProblem(m, [-b for b in rhs], [Fraction(0)] * m)
     for j in range(n):
-        dual.add([rows[i][j] for i in range(m)], ">=", objective[j])
+        dual.add({i: rows[i][j] for i in range(m)}, ">=", objective[j])
     return dual
 
 
@@ -173,8 +173,8 @@ def reference_simplex(problem):
 
     rows, rhs, slack_of = [], [], []
     for con in problem.constraints:
-        row = [con.coeffs[i] * sign for i, sign in col_var] + [zero] * (width - nstruct)
-        b = con.rhs - sum(con.coeffs[i] * shift[i] for i in range(n))
+        row = [con.coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
+        b = con.rhs - sum(con.coeffs.get(i, zero) * shift[i] for i in range(n))
         scol = None
         if con.relation != "==":
             scol = nstruct + sum(1 for s in slack_of if s is not None)

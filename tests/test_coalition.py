@@ -3,13 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from allocore.coalition import (
-    Coalition,
-    all_coalitions,
-    bits_members,
-    proper_coalitions,
-    submasks_ascending,
-)
+from allocore.coalition import Coalition, bits_members, submasks_ascending
 
 
 def test_from_members_round_trip():
@@ -38,33 +32,6 @@ def test_proper_predicate():
     assert Coalition.singleton(2, 3).is_proper()
 
 
-def test_set_algebra():
-    a = Coalition.from_members([1, 2], 4)
-    b = Coalition.from_members([2, 4], 4)
-    assert (a | b).members() == (1, 2, 4)
-    assert (a & b).members() == (2,)
-    assert (a - b).members() == (1,)
-    assert a.complement().members() == (3, 4)
-    assert a.is_subset_of(a | b)
-    assert (a | b).is_superset_of(b)
-    assert not a.is_disjoint_from(b)
-    assert a.is_disjoint_from(Coalition.singleton(3, 4))
-    with pytest.raises(ValueError):
-        a | Coalition.singleton(1, 3)
-
-
-def test_with_without_agent():
-    c = Coalition.from_members([2], 3)
-    assert c.with_agent(3).members() == (2, 3)
-    assert c.without_agent(2).is_empty()
-    assert c.without_agent(1) == c
-
-
-def test_iterators():
-    assert [c.bits for c in all_coalitions(2)] == [0, 1, 2, 3]
-    assert [c.bits for c in proper_coalitions(3)] == list(range(1, 7))
-
-
 def test_submasks_ascending_enumerates_exactly_once():
     mask = 0b10110
     subs = list(submasks_ascending(mask))
@@ -85,10 +52,3 @@ def test_members_bits_bijection(members, n):
     assert set(c.members()) == members
     assert c.size() == len(members)
     assert bits_members(c.bits) == c.members()
-
-
-@given(st.integers(0, 2**8 - 1), st.integers(0, 2**8 - 1))
-def test_subset_consistent_with_bitmask(a, b):
-    x, y = Coalition(a, 8), Coalition(b, 8)
-    assert x.is_subset_of(y) == set(x.members()).issubset(y.members())
-    assert (x | y).members() == tuple(sorted(set(x.members()) | set(y.members())))

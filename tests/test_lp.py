@@ -27,9 +27,9 @@ def traced_solve(problem):
 
 def test_pair_constraint_binds():
     p = LpProblem(2, [1, 1], [0, 0])
-    p.add([1, 0], "<=", 1)
-    p.add([0, 1], "<=", 1)
-    p.add([1, 1], "<=", 1)
+    p.add({0: 1}, "<=", 1)
+    p.add({1: 1}, "<=", 1)
+    p.add({0: 1, 1: 1}, "<=", 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == 1
@@ -41,22 +41,22 @@ def test_unbounded_without_constraints():
 
 def test_infeasible_pair():
     p = LpProblem(1, [1])
-    p.add([1], "<=", 0)
-    p.add([1], ">=", 1)
+    p.add({0: 1}, "<=", 0)
+    p.add({0: 1}, ">=", 1)
     assert solve(p).status is LpStatus.INFEASIBLE
 
 
 def test_infeasible_equalities():
     p = LpProblem(1, [0])
-    p.add([1], "==", 2)
-    p.add([1], "==", 3)
+    p.add({0: 1}, "==", 2)
+    p.add({0: 1}, "==", 3)
     assert solve(p).status is LpStatus.INFEASIBLE
 
 
 def test_equality_with_free_variables():
     p = LpProblem(2, [-1, -1])  # minimize x1 + x2
-    p.add([1, 1], "==", -3)
-    p.add([1, -1], "<=", 1)
+    p.add({0: 1, 1: 1}, "==", -3)
+    p.add({0: 1, 1: -1}, "<=", 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == 3
@@ -65,7 +65,7 @@ def test_equality_with_free_variables():
 
 def test_lower_bounds_shift():
     p = LpProblem(2, [-1, -1], [5, "7/2"])  # minimize above shifted bounds
-    p.add([1, 1], "<=", 100)
+    p.add({0: 1, 1: 1}, "<=", 100)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.point == (Fraction(5), Fraction(7, 2))
@@ -74,9 +74,9 @@ def test_lower_bounds_shift():
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     p = LpProblem(4, ["3/4", -150, "1/50", -6], [0, 0, 0, 0])
-    p.add(["1/4", -60, "-1/25", 9], "<=", 0)
-    p.add(["1/2", -90, "-1/50", 3], "<=", 0)
-    p.add([0, 0, 1, 0], "<=", 1)
+    p.add({0: "1/4", 1: -60, 2: "-1/25", 3: 9}, "<=", 0)
+    p.add({0: "1/2", 1: -90, 2: "-1/50", 3: 3}, "<=", 0)
+    p.add({2: 1}, "<=", 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == Fraction(1, 20)
@@ -92,9 +92,18 @@ def test_determinism_bit_for_bit(unbalanced3):
 def test_malformed_dimensions():
     p = LpProblem(2, [1, 1])
     with pytest.raises(ValueError):
-        p.add([1], "<=", 0)
+        p.add({2: 1}, "<=", 0)  # index num_vars
     with pytest.raises(ValueError):
-        p.add([1, 2], "<", 0)
+        p.add({-1: 1}, "<=", 0)
+    with pytest.raises(ValueError):
+        p.add({Fraction(1, 2): 1}, "<=", 0)
+    with pytest.raises(ValueError):
+        p.add({0: 1, 1: 2}, "<", 0)
+    assert p.constraints == []
+    p.add({1: 3, 0: 0}, "<=", 1)
+    p.add({1: "2/3", 0: -1}, ">=", 0)
+    assert p.constraints[0].coeffs == {1: 3}  # the zero is not stored
+    assert list(p.constraints[1].coeffs.items()) == [(0, -1), (1, Fraction(2, 3))]
     with pytest.raises(ValueError):
         LpProblem(2, [1])
     with pytest.raises(ValueError):
@@ -119,7 +128,7 @@ class TestVerifyPoint:
 
     def test_bound_violations_reported(self):
         p = LpProblem(2, [1, 1], [0, 0])
-        p.add([1, 1], "<=", 5)
+        p.add({0: 1, 1: 1}, "<=", 5)
         res = verify_point(p, [-1, 2])
         assert not res.feasible
         assert res.violated_bounds == (0,)
@@ -142,7 +151,7 @@ def test_strong_duality_on_random_canonical_programs():
             rhs.append(Fraction(6))
         primal = LpProblem(n, objective, [Fraction(0)] * n)
         for row, b in zip(rows, rhs):
-            primal.add(row, "<=", b)
+            primal.add(dict(enumerate(row)), "<=", b)
         psol = solve(primal)
         assert psol.status is LpStatus.OPTIMAL
         dsol = solve(dual_of_canonical(objective, rows, rhs))
@@ -171,7 +180,7 @@ def test_optimum_matches_vertex_enumeration():
             rhs.append(Fraction(0))
         problem = LpProblem(n, objective)
         for row, b in zip(rows, rhs):
-            problem.add(row, "<=", b)
+            problem.add(dict(enumerate(row)), "<=", b)
         sol = solve(problem)
         assert sol.status is LpStatus.OPTIMAL
         expected, _ = polyhedron_max(objective, rows, rhs)
@@ -191,14 +200,12 @@ def test_optimal_points_pass_verify(data):
     )
     for _ in range(m):
         problem.add(
-            data.draw(st.lists(frac, min_size=n, max_size=n)),
+            dict(enumerate(data.draw(st.lists(frac, min_size=n, max_size=n)))),
             data.draw(st.sampled_from(["<=", ">=", "=="])),
             data.draw(frac),
         )
     for i in range(n):
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        problem.add(unit, "<=", Fraction(7))
+        problem.add({i: Fraction(1)}, "<=", Fraction(7))
     sol = solve(problem)
     if sol.status is LpStatus.OPTIMAL:
         check = verify_point(problem, sol.point)
@@ -223,7 +230,7 @@ def mixed_programs(draw):
     problem = LpProblem(n, draw(st.lists(coprime_fractions, min_size=n, max_size=n)), bounds)
     for _ in range(draw(st.integers(0, 5))):
         problem.add(
-            draw(st.lists(coprime_fractions, min_size=n, max_size=n)),
+            dict(enumerate(draw(st.lists(coprime_fractions, min_size=n, max_size=n)))),
             draw(st.sampled_from(["<=", ">=", "=="])),
             draw(coprime_fractions),
         )
@@ -234,16 +241,14 @@ def mixed_programs(draw):
         first, second = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
         shift = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3)]))
         problem.add(
-            [a * u + b * v for u, v in zip(first.coeffs, second.coeffs)],
+            {i: a * first.coeffs.get(i, 0) + b * second.coeffs.get(i, 0) for i in range(n)},
             "==",
             a * first.rhs + b * second.rhs + shift,
         )
     if draw(st.booleans()):  # a box keeps most of these bounded
         for i in range(n):
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
-            problem.add(unit, "<=", Fraction(5))
-            problem.add(unit, ">=", Fraction(-5))
+            problem.add({i: Fraction(1)}, "<=", Fraction(5))
+            problem.add({i: Fraction(1)}, ">=", Fraction(-5))
     return problem
 
 
@@ -265,7 +270,7 @@ def assert_optimal_vertex(problem, sol):
     assert sol.status is LpStatus.OPTIMAL
     assert verify_point(problem, sol.point).feasible
     n = problem.num_vars
-    rows = [list(con.coeffs) for con in problem.constraints]
+    rows = [[con.coeffs.get(i, 0) for i in range(n)] for con in problem.constraints]
     rhs = [con.rhs for con in problem.constraints]
     rels = [con.relation for con in problem.constraints]
     for i, lb in enumerate(problem.lower_bounds):
@@ -283,9 +288,9 @@ def test_drive_out_on_a_negative_pivot():
     # -1 in its smallest real column, so it is driven out on a negative
     # pivot; row 1 is then a copy of row 0 and is deleted.
     p = LpProblem(2, [1, 0], [0, 0])
-    p.add([-1, 1], "==", 0)
-    p.add([1, -1], "==", 0)
-    p.add([1, 1], "<=", 2)
+    p.add({0: -1, 1: 1}, "==", 0)
+    p.add({0: 1, 1: -1}, "==", 0)
+    p.add({0: 1, 1: 1}, "<=", 2)
     pivots = []
     pivot = _Tableau.pivot
 
@@ -305,8 +310,8 @@ def test_gcd_reduction_lowers_a_row_denominator():
     # The last pivot, on the slack of 2x <= 4 (denominator 1), leaves row 0
     # as (2x + 2y + 2s) / 2 = 6 / 2; the gcd brings it back to x + y + s = 3.
     p = LpProblem(2, [2, 3], [0, 0])
-    p.add([1, 1], "<=", 3)
-    p.add([2, 0], "<=", 4)
+    p.add({0: 1, 1: 1}, "<=", 3)
+    p.add({0: 2}, "<=", 4)
     reduced = []
     pivot = _Tableau.pivot
 
@@ -330,11 +335,9 @@ def test_optimum_with_a_denominator_above_64_bits():
     # x0 <= 1 / a0 and x_i <= x_(i-1) / a_i all bind, so x_4 = prod(1 / a_i).
     a = [Fraction(8191, 3), Fraction(8209, 7), Fraction(8219, 11), Fraction(8221, 13), Fraction(8231)]
     p = LpProblem(5, [1] * 5, [0] * 5)
-    p.add([a[0], 0, 0, 0, 0], "<=", 1)
+    p.add({0: a[0]}, "<=", 1)
     for i in range(1, 5):
-        row = [Fraction(0)] * 5
-        row[i - 1], row[i] = Fraction(-1), a[i]
-        p.add(row, "<=", 0)
+        p.add({i - 1: Fraction(-1), i: a[i]}, "<=", 0)
     sol = solve(p)
     expected = []
     for ai in a:

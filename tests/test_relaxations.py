@@ -193,9 +193,10 @@ class TestExtendedCore:
         n = 3
         problem = LpProblem(2 * n, [0] * n + [-1] * n, [None] * n + [Fraction(0)] * n)
         for bits in range(1, (1 << n) - 1):
-            row = [Fraction(int(bool(bits >> i & 1))) for i in range(n)]
-            problem.add(row + [-v for v in row], "<=", unbalanced3.cost_bits(bits))
-        problem.add([1] * n + [0] * n, "==", unbalanced3.grand_cost())
+            row = {i: Fraction(int(bool(bits >> i & 1))) for i in range(n)}
+            row |= {n + i: -v for i, v in row.items()}
+            problem.add(row, "<=", unbalanced3.cost_bits(bits))
+        problem.add({i: 1 for i in range(n)}, "==", unbalanced3.grand_cost())
         assert verify_point(problem, list(x) + list(t)).feasible
 
     def test_balanced_needs_no_subsidy(self, tight_quarter):
