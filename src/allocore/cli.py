@@ -220,6 +220,8 @@ def _parse_n_range(spec: str) -> tuple[int, int]:
 
 def cmd_bench(args) -> int:
     lo, hi = _parse_n_range(args.n)
+    if args.count < 1:
+        raise PreconditionError(f"--count must be at least 1, got {args.count}")
     rng = Random(args.seed)
     ratios: list[Fraction] = []
     for index in range(args.count):
@@ -322,7 +324,7 @@ def main(argv=None) -> int:
     except InstanceParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationLimitError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .coalition import Coalition, submasks_ascending
@@ -28,10 +29,18 @@ def check_enum_limit(n: int, what: str) -> None:
 
 
 def as_rational(value: object) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions; floats are rejected."""
+    """Coerce ints, strings like "3/4" or "0.75", and Fractions; floats are
+    rejected, and so are strings in exponent notation ("1e999999999" would
+    build a billion-digit integer)."""
+    if type(value) is Fraction:  # the common case, without the ABC instance check
+        return value
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -78,10 +87,14 @@ class Allocation:
         return [str(v) for v in self.shares]
 
 
-def subset_sums(shares: Sequence[Fraction]) -> list[Fraction]:
-    """x(S) for every bitmask S, via the one-lower-bit recurrence."""
+def subset_sums(shares: Sequence) -> list:
+    """x(S) for every bitmask S, via the one-lower-bit recurrence.
+
+    Starts from the int 0, so integer shares give integer sums and
+    Fraction shares give Fraction sums (the empty set's entry stays 0).
+    """
     n = len(shares)
-    sums = [_ZERO] * (1 << n)
+    sums = [0] * (1 << n)
     for bits in range(1, 1 << n):
         low = bits & -bits
         sums[bits] = sums[bits ^ low] + shares[low.bit_length() - 1]
@@ -117,6 +130,13 @@ class Game:
         """The full 2^n cost table, indexed by bitmask."""
         check_enum_limit(self.n, "building a full cost table")
         return tuple(self.cost_bits(bits) for bits in range(1 << self.n))
+
+    def scaled_table(self) -> tuple[Sequence[int], int]:
+        """(D * table, D): the cost table as integers over one common
+        denominator D, the lcm of the entries' denominators."""
+        table = self.table()
+        d = lcm(*(v.denominator for v in table))
+        return [v.numerator * (d // v.denominator) for v in table], d
 
 
 class ExplicitGame(Game):

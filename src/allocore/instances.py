@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InstanceParseError, PreconditionError
-from .games import ENUM_LIMIT, ExplicitGame, Game
+from .games import ENUM_LIMIT, ExplicitGame, Game, as_rational
 from .mstgame import GraphInstance, MstGame
 
 EXPLICIT = "explicit"
@@ -52,7 +52,7 @@ def _parse_rational(value: object, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return as_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InstanceParseError(f"{where}: bad rational {value!r} ({exc})") from None
     raise InstanceParseError(f"{where}: values must be integers or 'p/q' strings")
@@ -63,13 +63,14 @@ def _parse_coalition_key(key: str, n: int) -> int:
         raise InstanceParseError(
             "the empty coalition must not be listed; its cost is implicitly 0"
         )
+    if not key.isascii():
+        raise InstanceParseError(f"malformed coalition key {key!r}")
     bits = 0
     previous = 0
     for part in key.split(","):
-        try:
-            agent = int(part)
-        except ValueError:
-            raise InstanceParseError(f"malformed coalition key {key!r}") from None
+        if not part.isdigit():  # ASCII digits only: no sign, space or underscore
+            raise InstanceParseError(f"malformed coalition key {key!r}")
+        agent = int(part)
         if agent <= previous:
             raise InstanceParseError(
                 f"coalition key {key!r} must list agents in strictly increasing order"
@@ -97,6 +98,10 @@ def parse(text: str) -> InstanceFile:
         data = json.loads(text, object_pairs_hook=_reject_duplicate_pairs)
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InstanceParseError("JSON nesting is too deep") from None
+    except ValueError as exc:  # an integer literal beyond the int conversion limit
+        raise InstanceParseError(str(exc)) from None
     if not isinstance(data, dict):
         raise InstanceParseError("top level must be a JSON object")
     fmt = data.get("format")
@@ -118,6 +123,8 @@ def parse(text: str) -> InstanceFile:
         costs: dict[int, Fraction] = {}
         for key, value in raw.items():
             bits = _parse_coalition_key(key, n)
+            if bits in costs:
+                raise InstanceParseError(f"coalition {key!r} is listed twice")
             costs[bits] = _parse_rational(value, f"cost of {key!r}")
         if default is None:
             missing = (1 << n) - 1 - len(costs)
@@ -157,8 +164,12 @@ def parse(text: str) -> InstanceFile:
 
 
 def load(path: str) -> InstanceFile:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse(text)
 
 
 def serialize(instance: InstanceFile) -> str:

@@ -8,9 +8,10 @@ vertex of the feasible region augmented by the bound constraints.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. A stored ``Constraint`` keeps only the
-nonzero entries, in ascending variable order, so ``solve`` and
-``verify_point`` visit nothing else. The objective and the lower bounds
-are dense, one entry per variable.
+nonzero entries, in ascending variable order, in a read-only mapping, so
+``solve`` and ``verify_point`` visit nothing else and nothing can change a
+row after ``add`` checked it. The objective and the lower bounds are dense,
+one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
 over one positive integer denominator of its own, so a pivot touches only
@@ -19,9 +20,11 @@ arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is
 divided by the gcd of its entries). Every tableau entry is the same
 rational as in a dense Fraction tableau, so the pivot choices, and the
 returned values, are those of the textbook method; values are handed back
-as fractions.Fraction and every optimum is checked with verify_point. No
-floating point is used anywhere. Column and row order are fixed and
-there is no presolve, so identical problems give identical solutions.
+as fractions.Fraction and every optimum is checked with verify_point,
+which also compares integers: each row over the lcm of its denominators,
+the point over its common denominator. No floating point is used
+anywhere. Column and row order are fixed and there is no presolve, so
+identical problems give identical solutions.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .games import as_rational
@@ -44,7 +48,7 @@ _RELATIONS = (LE, EQ, GE)
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    coeffs: dict[int, Fraction]  # nonzeros only, ascending variable index
+    coeffs: Mapping[int, Fraction]  # read-only; nonzeros only, ascending variable index
     relation: str
     rhs: Fraction
 
@@ -106,7 +110,7 @@ class LpProblem:
             c = as_rational(v)
             if c:
                 row[i] = c
-        self.constraints.append(Constraint(row, relation, as_rational(rhs)))
+        self.constraints.append(Constraint(MappingProxyType(row), relation, as_rational(rhs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,19 +121,29 @@ class VerifyResult:
 
 
 def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
-    """Exact feasibility report for a candidate point."""
+    """Exact feasibility report for a candidate point.
+
+    The check runs on integers: the point is scaled once to its common
+    denominator P, and each row is compared over the lcm of its own
+    denominators.
+    """
     x = [as_rational(v) for v in point]
     if len(x) != problem.num_vars:
         raise ValueError("point length does not match num_vars")
+    p = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (p // v.denominator) for v in x]
     bad_rows = []
     for idx, con in enumerate(problem.constraints):
-        lhs = sum((c * x[i] for i, c in con.coeffs.items()), _ZERO)
+        coeffs, rhs = con.coeffs, con.rhs
+        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        lhs = sum(c.numerator * (den // c.denominator) * xs[i] for i, c in coeffs.items())
+        bound = rhs.numerator * (den // rhs.denominator) * p
         if con.relation == LE:
-            ok = lhs <= con.rhs
+            ok = lhs <= bound
         elif con.relation == GE:
-            ok = lhs >= con.rhs
+            ok = lhs >= bound
         else:
-            ok = lhs == con.rhs
+            ok = lhs == bound
         if not ok:
             bad_rows.append(idx)
     bad_bounds = [
@@ -261,7 +275,7 @@ def solve(problem: LpProblem) -> LpSolution:
         shift.append(_ZERO if lb is None else lb)
     nstruct = len(col_var)
 
-    def columns(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
+    def columns(coeffs: Mapping[int, Fraction]) -> dict[int, Fraction]:
         """The nonzero coefficients of a row or objective, by column."""
         entries = {}
         for i, c in coeffs.items():

@@ -7,12 +7,21 @@ characteristic function, its monotonization (coalitions may route through
 outside agents as Steiner nodes), the classic one-tree core allocation,
 a 2-approximation for maximizing nonnegative shareable costs, and the
 uniform weight shift that removes the need for subsidies.
+
+A ``GraphInstance`` keeps its weights as integers over one common
+denominator D, the lcm of the weight denominators. Prim's algorithm, the
+cost cache, the monotonization sweep and the 2-approximation compare and
+add those integers; scaling by D > 0 keeps every comparison, so tie-breaks
+and trees are those of the rational weights. ``Fraction(value, D)`` is
+built only where a value leaves the class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from math import lcm
 from typing import Iterable, Sequence
 
 from .coalition import Coalition, bits_members
@@ -27,6 +36,9 @@ class GraphInstance:
 
     Weights are symmetric nonnegative rationals. Instances are immutable
     after construction; coalition costs are memoized internally.
+    ``weights`` holds the rationals as given; the computations run on
+    ``denominator`` (D) times them, which are integers, and every cost is
+    handed back as a Fraction over D.
     """
 
     def __init__(self, n: int, weights: Sequence[Sequence[object]]):
@@ -49,8 +61,11 @@ class GraphInstance:
                     raise ValueError(f"weights are not symmetric at ({i},{j})")
         self.n = n
         self.weights = tuple(tuple(row) for row in w)
-        self._cost_cache: dict[int, Fraction] = {0: _ZERO}
-        self._monotone_table: tuple[Fraction, ...] | None = None
+        d = lcm(*(v.denominator for row in w for v in row))
+        self.denominator = d
+        self._w = tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in w)
+        self._cost_cache: dict[int, int] = {0: 0}
+        self._monotone_table: tuple[int, ...] | None = None
 
     @classmethod
     def from_edges(
@@ -72,22 +87,25 @@ class GraphInstance:
                 raise ValueError(f"negative weight on edge {key}: {v}")
             seen[key] = v
             total += v
-        # connectivity of the input edges over all of {0..n}
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        # connectivity of the input edges over all of {0..n}; the adjacency
+        # lists cover only the nodes the edges name, so a huge n with few
+        # edges fails here without allocating anything of size n
+        adj: dict[int, list[int]] = {}
         for (i, j) in seen:
-            adj[i].append(j)
-            adj[j].append(i)
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
         reached = {0}
         stack = [0]
         while stack:
             u = stack.pop()
-            for v_ in adj[u]:
+            for v_ in adj.get(u, ()):
                 if v_ not in reached:
                     reached.add(v_)
                     stack.append(v_)
         if len(reached) != n + 1:
-            missing = sorted(set(range(n + 1)) - reached)
-            raise ValueError(f"input edges do not connect nodes {missing} to the supplier")
+            missing = list(islice((v for v in range(n + 1) if v not in reached), 10))
+            more = " ..." if n + 1 - len(reached) > len(missing) else ""
+            raise ValueError(f"input edges do not connect nodes {missing}{more} to the supplier")
         fill = total + 1
         w = [[fill] * (n + 1) for _ in range(n + 1)]
         for (i, j), v in seen.items():
@@ -98,6 +116,32 @@ class GraphInstance:
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights[i][j]
 
+    def _tree(self, vertices: Iterable[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
+        """Prim's algorithm on the scaled weights: (D * total weight,
+        insertion order, edges). Tie-breaks as in :meth:`prim`."""
+        w = self._w
+        remaining = sorted(set(vertices))
+        best = [w[0][v] for v in remaining]  # cheapest edge into the tree
+        near = [0] * len(remaining)  # its tree endpoint
+        order: list[int] = []
+        edges: list[tuple[int, int]] = []
+        total = 0
+        while remaining:
+            low = min(best)
+            k = len(best) - 1 - best[::-1].index(low)  # last minimum: larger vertex wins ties
+            pick = remaining.pop(k)
+            del best[k]
+            total += low
+            order.append(pick)
+            edges.append((near.pop(k), pick))
+            row = w[pick]
+            for slot, v in enumerate(remaining):
+                cand = row[v]
+                if cand < best[slot] or (cand == best[slot] and pick < near[slot]):
+                    best[slot] = cand
+                    near[slot] = pick
+        return total, order, edges
+
     def prim(self, vertices: Sequence[int]) -> tuple[Fraction, list[int], list[tuple[int, int]]]:
         """Prim's algorithm on {0} + vertices, starting at the supplier.
 
@@ -105,49 +149,35 @@ class GraphInstance:
         Tie-breaking is fixed: among minimum-weight candidate edges, the
         largest new vertex wins, then the smallest tree endpoint.
         """
-        w = self.weights
-        best_w: dict[int, Fraction] = {}
-        best_i: dict[int, int] = {}
-        for v in vertices:
-            best_w[v] = w[0][v]
-            best_i[v] = 0
-        order: list[int] = []
-        edges: list[tuple[int, int]] = []
-        total = _ZERO
-        remaining = sorted(best_w)
-        while remaining:
-            pick = remaining[0]
-            for v in remaining[1:]:
-                if best_w[v] <= best_w[pick]:  # <= : larger vertex wins ties
-                    pick = v
-            total += best_w[pick]
-            order.append(pick)
-            edges.append((best_i[pick], pick))
-            remaining.remove(pick)
-            for v in remaining:
-                cand = w[pick][v]
-                if cand < best_w[v] or (cand == best_w[v] and pick < best_i[v]):
-                    best_w[v] = cand
-                    best_i[v] = pick
-        return total, order, edges
+        total, order, edges = self._tree(vertices)
+        return Fraction(total, self.denominator), order, edges
 
-    def coalition_cost(self, bits: int) -> Fraction:
-        """MST cost of the subgraph induced by the coalition plus the supplier."""
+    def _cost(self, bits: int) -> int:
+        """D times the coalition's spanning-tree cost, memoized."""
         cached = self._cost_cache.get(bits)
         if cached is None:
-            cached, _, _ = self.prim(bits_members(bits))
+            cached = self._tree(bits_members(bits))[0]
             self._cost_cache[bits] = cached
         return cached
 
-    def cost_table(self) -> tuple[Fraction, ...]:
-        check_enum_limit(self.n, "materializing the spanning-tree cost table")
-        return tuple(self.coalition_cost(bits) for bits in range(1 << self.n))
+    def coalition_cost(self, bits: int) -> Fraction:
+        """MST cost of the subgraph induced by the coalition plus the supplier."""
+        return Fraction(self._cost(bits), self.denominator)
 
-    def monotonized_table(self) -> tuple[Fraction, ...]:
-        """min over supersets of the cost table, via one sweep per agent."""
+    def _scaled_cost_table(self) -> list[int]:
+        check_enum_limit(self.n, "materializing the spanning-tree cost table")
+        cost = self._cost
+        return [cost(bits) for bits in range(1 << self.n)]
+
+    def cost_table(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self._scaled_cost_table())
+
+    def _scaled_monotonized_table(self) -> tuple[int, ...]:
+        """D times the min over supersets of the cost table, via one sweep per agent."""
         if self._monotone_table is None:
             check_enum_limit(self.n, "monotonizing the cost table")
-            bar = list(self.cost_table())
+            bar = self._scaled_cost_table()
             for i in range(self.n):
                 bit = 1 << i
                 for bits in range(1 << self.n):
@@ -156,9 +186,14 @@ class GraphInstance:
             self._monotone_table = tuple(bar)
         return self._monotone_table
 
+    def monotonized_table(self) -> tuple[Fraction, ...]:
+        """min over supersets of the cost table."""
+        d = self.denominator
+        return tuple(Fraction(v, d) for v in self._scaled_monotonized_table())
+
     def default_shift(self) -> Fraction:
         """Sum of the supplier edge weights (the singleton costs)."""
-        return sum((self.weights[0][j] for j in range(1, self.n + 1)), _ZERO)
+        return Fraction(sum(self._w[0][1:]), self.denominator)
 
 
 class MstGame(Game):
@@ -168,13 +203,20 @@ class MstGame(Game):
         self.n = graph.n
         self.graph = graph
         self.monotonized = monotonized
-        if monotonized:
-            graph.monotonized_table()  # eager: later queries are read-only
+        # eager: a monotonized game answers every lookup from this one table
+        self._table = graph.monotonized_table() if monotonized else None
 
     def cost_bits(self, bits: int) -> Fraction:
-        if self.monotonized:
-            return self.graph.monotonized_table()[bits]
+        if self._table is not None:
+            return self._table[bits]
         return self.graph.coalition_cost(bits)
+
+    def scaled_table(self) -> tuple[Sequence[int], int]:
+        """The graph's own integer table and its denominator D."""
+        graph = self.graph
+        if self.monotonized:
+            return graph._scaled_monotonized_table(), graph.denominator
+        return graph._scaled_cost_table(), graph.denominator
 
 
 def mst_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:
@@ -186,7 +228,7 @@ def mst_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:
 def monotonized_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:
     if coalition.n != graph.n:
         raise ValueError("coalition universe does not match the graph")
-    return graph.monotonized_table()[coalition.bits]
+    return Fraction(graph._scaled_monotonized_table()[coalition.bits], graph.denominator)
 
 
 def explicit_from_graph(graph: GraphInstance, monotonize: bool = False) -> ExplicitGame:
@@ -201,7 +243,7 @@ def granot_huberman(graph: GraphInstance) -> Allocation:
     Budget balanced, and a core allocation of both the plain and the
     monotonized game.
     """
-    _, order, edges = graph.prim(range(1, graph.n + 1))
+    _, _, edges = graph._tree(range(1, graph.n + 1))
     shares = [_ZERO] * graph.n
     for (i, j) in edges:
         shares[j - 1] = graph.weights[i][j]
@@ -232,25 +274,27 @@ def almost_core_approx(graph: GraphInstance) -> tuple[Allocation, ApproxTrace]:
     n = graph.n
     if n < 2:
         raise PreconditionError("the approximation needs at least two agents")
-    total, order, edges = graph.prim(range(1, n + 1))
-    shares = [_ZERO] * n
+    total, order, edges = graph._tree(range(1, n + 1))
+    w = graph._w
+    shares = [0] * n  # D times each share
     for (i, j) in edges:
-        shares[j - 1] = graph.weights[i][j]
-    pre = Allocation(tuple(shares))
+        shares[j - 1] = w[i][j]
+    d = graph.denominator
+    pre = Allocation(tuple(Fraction(v, d) for v in shares))
     last = order[-1]
     full = (1 << n) - 1
-    best: Fraction | None = None
+    best: int | None = None
     best_k = -1
     for k in range(1, n + 1):
         if k == last:
             continue
         others = total - shares[k - 1] - shares[last - 1]  # x(N \ {k, last})
-        cand = graph.coalition_cost(full ^ (1 << (k - 1))) - others
+        cand = graph._cost(full ^ (1 << (k - 1))) - others
         if best is None or cand < best:
             best = cand
             best_k = k
     shares[last - 1] = best
-    final = Allocation(tuple(shares))
+    final = Allocation(tuple(Fraction(v, d) for v in shares))
     trace = ApproxTrace(
         insertion_order=tuple(order),
         tree_edges=tuple(edges),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .coalition import Coalition, bits_members
@@ -356,16 +357,22 @@ def brute_force_core_oracle(game: Game) -> CoreOracle:
     """Exact separation for all stability constraints by full enumeration.
 
     Returns the ascending-bitmask first violated coalition (N included).
+    The scan runs on integers: the table is scaled once to its common
+    denominator D, and each query point to L = lcm(D, its denominators).
     """
-    table = game.table()
+    table, d = game.scaled_table()
     n = game.n
 
     def oracle(point: Sequence[Fraction]) -> SeparationResult:
-        sums = subset_sums(_query_point(point, n))
+        values = _query_point(point, n)
+        scale = lcm(d, *(v.denominator for v in values))
+        sums = subset_sums([v.numerator * (scale // v.denominator) for v in values])
+        factor = scale // d
+        costs = table if factor == 1 else [c * factor for c in table]
         for bits in range(1, 1 << n):
-            if sums[bits] > table[bits]:
+            if sums[bits] > costs[bits]:
                 return SeparationResult(
-                    False, Coalition(bits, n), sums[bits] - table[bits]
+                    False, Coalition(bits, n), Fraction(sums[bits] - costs[bits], scale)
                 )
         return SeparationResult(True)
 

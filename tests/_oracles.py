@@ -260,3 +260,84 @@ def reference_simplex(problem):
             x[i] += sign * rhs[r]
     value = sum((c * v for c, v in zip(problem.objective, x)), zero)
     return "optimal", value, tuple(x), trace
+
+
+def reference_verify_point(problem, point):
+    """The row check of ``verify_point`` in Fraction arithmetic.
+
+    Returns (violated row indices, violated lower-bound indices).
+    """
+    x = [Fraction(v) for v in point]
+    rows = []
+    for idx, con in enumerate(problem.constraints):
+        lhs = sum((c * x[i] for i, c in con.coeffs.items()), Fraction(0))
+        if con.relation == "<=":
+            ok = lhs <= con.rhs
+        elif con.relation == ">=":
+            ok = lhs >= con.rhs
+        else:
+            ok = lhs == con.rhs
+        if not ok:
+            rows.append(idx)
+    bounds = [
+        i for i, (v, lb) in enumerate(zip(x, problem.lower_bounds))
+        if lb is not None and v < lb
+    ]
+    return tuple(rows), tuple(bounds)
+
+
+def reference_prim(graph, vertices):
+    """Prim's algorithm on ``graph.weights`` in Fraction arithmetic.
+
+    Returns (total, insertion order, edges (tree_end, new_vertex)) with the
+    tie-breaks ``GraphInstance.prim`` is specified to make: among
+    minimum-weight candidate edges the largest new vertex wins, then the
+    smallest tree endpoint.
+    """
+    w = graph.weights
+    best_w = {v: w[0][v] for v in vertices}
+    best_i = dict.fromkeys(best_w, 0)
+    order, edges = [], []
+    total = Fraction(0)
+    remaining = sorted(best_w)
+    while remaining:
+        pick = remaining[0]
+        for v in remaining[1:]:
+            if best_w[v] <= best_w[pick]:  # <= : larger vertex wins ties
+                pick = v
+        total += best_w[pick]
+        order.append(pick)
+        edges.append((best_i[pick], pick))
+        remaining.remove(pick)
+        for v in remaining:
+            cand = w[pick][v]
+            if cand < best_w[v] or (cand == best_w[v] and pick < best_i[v]):
+                best_w[v] = cand
+                best_i[v] = pick
+    return total, order, edges
+
+
+def reference_cost_table(graph):
+    """Spanning-tree cost of every coalition bitmask, by ``reference_prim``."""
+    n = graph.n
+    return [
+        reference_prim(graph, [i + 1 for i in range(n) if bits >> i & 1])[0]
+        for bits in range(1 << n)
+    ]
+
+
+def reference_core_scan(table, point, nonneg=False):
+    """First violated constraint of x(S) <= table[S] over nonempty S in
+    ascending bitmask order, in Fraction arithmetic; with ``nonneg`` the
+    bounds x >= 0 come first. Returns ("member",), ("bound", agent, amount)
+    or ("coalition", bits, amount)."""
+    x = [Fraction(v) for v in point]
+    if nonneg:
+        for i, v in enumerate(x):
+            if v < 0:
+                return ("bound", i + 1, -v)
+    for bits in range(1, len(table)):
+        excess = coalition_sum(x, bits) - table[bits]
+        if excess > 0:
+            return ("coalition", bits, excess)
+    return ("member",)

@@ -4,11 +4,16 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from allocore.lp import LpProblem, LpStatus, _Tableau, solve, verify_point
+from allocore.lp import LpProblem, LpStatus, VerifyResult, _Tableau, solve, verify_point
 from allocore.mstgame import MstGame
 from allocore.relaxations import almost_core_problem
 
-from _oracles import dual_of_canonical, polyhedron_max, reference_simplex
+from _oracles import (
+    dual_of_canonical,
+    polyhedron_max,
+    reference_simplex,
+    reference_verify_point,
+)
 
 
 def traced_solve(problem):
@@ -263,6 +268,39 @@ def test_same_pivots_and_result_as_reference_simplex(problem):
     assert trace == expected_trace
     if sol.is_optimal:
         assert verify_point(problem, sol.point).feasible
+
+
+# Points whose denominators mostly do not divide the rows' denominators.
+point_fractions = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 17, 19])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_programs(), st.data())
+def test_verify_point_matches_fraction_check(problem, data):
+    n = problem.num_vars
+    points = [data.draw(st.lists(point_fractions, min_size=n, max_size=n))]
+    sol = solve(problem)
+    if sol.is_optimal:
+        assert verify_point(problem, sol.point).feasible
+        points += [sol.point, [v + Fraction(1, 17) for v in sol.point]]
+    for point in points:
+        rows, bounds = reference_verify_point(problem, point)
+        assert verify_point(problem, point) == VerifyResult(not rows and not bounds, rows, bounds)
+
+
+def test_stored_rows_are_read_only():
+    p = LpProblem(2, [1, 1])
+    p.add({0: 1, 1: 2}, "<=", 3)
+    coeffs = p.constraints[0].coeffs
+    with pytest.raises(TypeError):
+        coeffs[0] = 0
+    with pytest.raises(TypeError):
+        coeffs[5] = 1
+    with pytest.raises(TypeError):
+        del coeffs[1]
+    assert dict(coeffs) == {0: 1, 1: 2}
 
 
 def assert_optimal_vertex(problem, sol):

@@ -2,11 +2,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError, PreconditionError
 from allocore.games import is_subadditive, subset_sums
-from allocore.generators import detour_instance, random_graph
+from allocore.generators import WEIGHT_MODELS, detour_instance, random_graph
 from allocore.mstgame import (
     GraphInstance,
     MstGame,
@@ -17,9 +18,20 @@ from allocore.mstgame import (
     mst_cost,
     shift_weights,
 )
-from allocore.relaxations import almost_core_optimum
+from allocore.relaxations import (
+    SeparationResult,
+    almost_core_optimum,
+    brute_force_core_oracle,
+    brute_force_nonneg_core_oracle,
+)
 
-from _oracles import coalition_sum, superset_min_cost
+from _oracles import (
+    coalition_sum,
+    reference_core_scan,
+    reference_cost_table,
+    reference_prim,
+    superset_min_cost,
+)
 
 
 class TestGraphInstance:
@@ -267,3 +279,95 @@ def test_enumeration_limit_on_tables():
     with pytest.raises(EnumerationLimitError):
         g.cost_table()
     assert g.coalition_cost(0b1) == 1  # single queries stay fine
+
+
+# --- the integer kernel against the Fraction reference --------------------------
+
+
+@st.composite
+def graphs(draw):
+    """n = 1..7 on the four weight models, on weights in {0, 1, 2} (many
+    ties), or on mixed denominators such as 1/3, 5/7 and 11/13."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(WEIGHT_MODELS + ("ties", "mixed")))
+    if kind in WEIGHT_MODELS:
+        return random_graph(Random(draw(st.integers(0, 2**32))), n, kind)
+    if kind == "ties":
+        values = st.sampled_from([0, 1, 2])
+    else:
+        values = st.sampled_from(
+            [Fraction(1, 3), Fraction(5, 7), Fraction(11, 13), Fraction(4, 3), 0, 2]
+        )
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            w[i][j] = w[j][i] = draw(values)
+    return GraphInstance(n, w)
+
+
+def superset_minimum(table, n):
+    return [
+        min(table[sup] for sup in range(1 << n) if sup & bits == bits)
+        for bits in range(1 << n)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.data())
+def test_prim_matches_reference_prim(graph, data):
+    for _ in range(4):
+        vertices = data.draw(st.lists(st.integers(1, graph.n), unique=True))
+        total, order, edges = graph.prim(vertices)
+        assert isinstance(total, Fraction)
+        assert (total, order, edges) == reference_prim(graph, vertices)
+    if graph.n >= 2:
+        _, trace = almost_core_approx(graph)
+        _, order, edges = reference_prim(graph, range(1, graph.n + 1))
+        assert trace.insertion_order == tuple(order)
+        assert trace.tree_edges == tuple(edges)
+        assert trace.pre_update_shares == granot_huberman(graph)
+        assert list(granot_huberman(graph)) == [
+            graph.weights[i][j] for i, j in sorted(edges, key=lambda e: e[1])
+        ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_tables_match_reference_prim(graph):
+    reference = reference_cost_table(graph)
+    assert graph.cost_table() == tuple(reference)
+    assert graph.monotonized_table() == tuple(superset_minimum(reference, graph.n))
+    assert all(isinstance(v, Fraction) for v in graph.monotonized_table())
+    assert MstGame(graph, monotonized=True).table() == graph.monotonized_table()
+
+
+def expected_separation(scan, n):
+    if scan[0] == "member":
+        return SeparationResult(True)
+    if scan[0] == "bound":
+        return SeparationResult(False, negative_agent=scan[1], amount=scan[2])
+    return SeparationResult(False, Coalition(scan[1], n), scan[2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_oracles_match_fraction_scan(graph, data):
+    n = graph.n
+    gh = list(granot_huberman(graph))  # in the core of both games
+    odd = st.builds(Fraction, st.integers(-10, 30), st.sampled_from([1, 2, 5, 17, 19]))
+    points = [
+        gh,
+        [v + Fraction(1, 17) for v in gh],  # denominators that do not divide D
+        data.draw(st.lists(odd, min_size=n, max_size=n)),
+    ]
+    reference = reference_cost_table(graph)
+    tables = (reference, superset_minimum(reference, n))
+    games = (MstGame(graph), MstGame(graph, monotonized=True), explicit_from_graph(graph))
+    for game, table in zip(games, (tables[0], tables[1], tables[0])):
+        plain = brute_force_core_oracle(game)
+        nonneg = brute_force_nonneg_core_oracle(game)
+        for point in points:
+            for oracle, flag in ((plain, False), (nonneg, True)):
+                result = oracle(point)
+                assert result == expected_separation(reference_core_scan(table, point, flag), n)
+                assert result.amount is None or isinstance(result.amount, Fraction)
