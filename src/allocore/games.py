@@ -45,6 +45,12 @@ def as_rational(value: object) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def over_common_denominator(values: Sequence[Fraction], base: int = 1) -> tuple[list[int], int]:
+    """([D * v for v in values], D): the rationals over D = lcm(base, their denominators)."""
+    d = lcm(base, *(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 @dataclass(frozen=True, slots=True)
 class Allocation:
     """A length-n vector of exact rational cost (or profit) shares."""
@@ -134,9 +140,7 @@ class Game:
     def scaled_table(self) -> tuple[Sequence[int], int]:
         """(D * table, D): the cost table as integers over one common
         denominator D, the lcm of the entries' denominators."""
-        table = self.table()
-        d = lcm(*(v.denominator for v in table))
-        return [v.numerator * (d // v.denominator) for v in table], d
+        return over_common_denominator(self.table())
 
 
 class ExplicitGame(Game):

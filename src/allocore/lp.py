@@ -7,11 +7,12 @@ differences of nonnegatives internally, so every returned optimum is a
 vertex of the feasible region augmented by the bound constraints.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
-x0 - 2 x3); absent variables read 0. A stored ``Constraint`` keeps only the
-nonzero entries, in ascending variable order, in a read-only mapping, so
-``solve`` and ``verify_point`` visit nothing else and nothing can change a
-row after ``add`` checked it. The objective and the lower bounds are dense,
-one entry per variable.
+x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
+once: a stored ``Constraint`` keeps the nonzero entries, in ascending
+variable order, in a read-only mapping of numerators over ``den``, the lcm
+of the row's denominators, so ``solve`` and ``verify_point`` visit nothing
+else and nothing can change a row after ``add`` checked it. The objective
+and the lower bounds are dense, one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
 over one positive integer denominator of its own, so a pivot touches only
@@ -21,8 +22,8 @@ divided by the gcd of its entries). Every tableau entry is the same
 rational as in a dense Fraction tableau, so the pivot choices, and the
 returned values, are those of the textbook method; values are handed back
 as fractions.Fraction and every optimum is checked with verify_point,
-which also compares integers: each row over the lcm of its denominators,
-the point over its common denominator. No floating point is used
+which also compares integers: each stored row against the point over its
+common denominator. No floating point is used
 anywhere. Column and row order are fixed and there is no presolve, so
 identical problems give identical solutions.
 """
@@ -30,13 +31,14 @@ identical problems give identical solutions.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .games import as_rational
+from .games import as_rational, over_common_denominator
 
 _ZERO = Fraction(0)
 
@@ -44,13 +46,17 @@ LE = "<="
 EQ = "=="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
+_HOLDS = {LE: operator.le, EQ: operator.eq, GE: operator.ge}
 
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    coeffs: Mapping[int, Fraction]  # read-only; nonzeros only, ascending variable index
+    """The row sum(coef[i] * x_i) (relation) rhs, every number over den > 0."""
+
+    coef: Mapping[int, int]  # read-only; nonzeros only, ascending variable index
     relation: str
-    rhs: Fraction
+    rhs: int
+    den: int
 
 
 class LpStatus(enum.Enum):
@@ -110,7 +116,9 @@ class LpProblem:
             c = as_rational(v)
             if c:
                 row[i] = c
-        self.constraints.append(Constraint(MappingProxyType(row), relation, as_rational(rhs)))
+        nums, den = over_common_denominator([*row.values(), as_rational(rhs)])
+        coef = MappingProxyType(dict(zip(row, nums)))
+        self.constraints.append(Constraint(coef, relation, nums[-1], den))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,27 +132,17 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
     """Exact feasibility report for a candidate point.
 
     The check runs on integers: the point is scaled once to its common
-    denominator P, and each row is compared over the lcm of its own
-    denominators.
+    denominator P, and each stored row, whose integers are over its own
+    den, is compared as sum(coef[i] * P * x_i) (relation) rhs * P.
     """
     x = [as_rational(v) for v in point]
     if len(x) != problem.num_vars:
         raise ValueError("point length does not match num_vars")
-    p = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (p // v.denominator) for v in x]
+    xs, p = over_common_denominator(x)
     bad_rows = []
     for idx, con in enumerate(problem.constraints):
-        coeffs, rhs = con.coeffs, con.rhs
-        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        lhs = sum(c.numerator * (den // c.denominator) * xs[i] for i, c in coeffs.items())
-        bound = rhs.numerator * (den // rhs.denominator) * p
-        if con.relation == LE:
-            ok = lhs <= bound
-        elif con.relation == GE:
-            ok = lhs >= bound
-        else:
-            ok = lhs == bound
-        if not ok:
+        lhs = sum(c * xs[i] for i, c in con.coef.items())
+        if not _HOLDS[con.relation](lhs, con.rhs * p):
             bad_rows.append(idx)
     bad_bounds = [
         i
@@ -164,13 +162,6 @@ class _Row:
         self.coef = coef
         self.rhs = rhs
         self.den = den
-
-    @classmethod
-    def scaled(cls, entries: dict[int, Fraction], rhs: Fraction) -> _Row:
-        """The row of these rational entries over the lcm of their denominators."""
-        den = lcm(rhs.denominator, *(v.denominator for v in entries.values()))
-        coef = {j: v.numerator * (den // v.denominator) for j, v in entries.items()}
-        return cls(coef, rhs.numerator * (den // rhs.denominator), den)
 
     def reduce(self) -> None:
         """Divide the row by the gcd of its denominator and numerators."""
@@ -274,23 +265,26 @@ def solve(problem: LpProblem) -> LpSolution:
             col_var.append((i, -1))
         shift.append(_ZERO if lb is None else lb)
     nstruct = len(col_var)
+    low, scale = over_common_denominator(shift)  # the lower bounds over L
 
-    def columns(coeffs: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        """The nonzero coefficients of a row or objective, by column."""
+    def columns(coef: Mapping[int, int]) -> dict[int, int]:
+        """The nonzero integers of a row or objective, by column, times L."""
         entries = {}
-        for i, c in coeffs.items():
+        for i, c in coef.items():
+            c *= scale
             entries[first_col[i]] = c
             if problem.lower_bounds[i] is None:
                 entries[first_col[i] + 1] = -c
         return entries
 
-    # Each row is scaled to integers once; its slack reads +1 (<=) or -1 (>=).
+    # x = y + low / L turns a stored row coef . x (relation) rhs over den into
+    # L coef . y (relation) L rhs - coef . low over den L; slack +1 (<=) or -1 (>=).
     rows: list[_Row] = []
     slack_col_of_row: list[int | None] = []
     width = nstruct
     for con in problem.constraints:
-        b = con.rhs - sum((c * shift[i] for i, c in con.coeffs.items() if shift[i]), _ZERO)
-        row = _Row.scaled(columns(con.coeffs), b)
+        b = con.rhs * scale - sum(c * low[i] for i, c in con.coef.items() if low[i])
+        row = _Row(columns(con.coef), b, con.den * scale)
         scol = None
         if con.relation != EQ:
             scol = width
@@ -341,7 +335,8 @@ def solve(problem: LpProblem) -> LpSolution:
             row.coef = {j: v for j, v in row.coef.items() if j < width}
 
     # Phase 2: reduce the real objective against the current basis.
-    cost = _Row.scaled(columns({i: c for i, c in enumerate(problem.objective) if c}), _ZERO)
+    obj, d = over_common_denominator(problem.objective)
+    cost = _Row(columns({i: c for i, c in enumerate(obj) if c}), 0, d * scale)
     for row, bcol in zip(rows, basis):
         if bcol in cost.coef:
             cost.eliminate(row, bcol)

@@ -21,12 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from typing import Iterable, Sequence
 
 from .coalition import Coalition, bits_members
-from .errors import PreconditionError
-from .games import Allocation, ExplicitGame, Game, as_rational, check_enum_limit
+from .errors import EnumerationLimitError, PreconditionError
+from .games import (
+    Allocation, ExplicitGame, Game, as_rational, check_enum_limit, over_common_denominator,
+)
+
+#: Most agents ``from_edges`` accepts; its (n+1)^2 weight table takes ~90 MB at 1000.
+GRAPH_AGENT_LIMIT = 1000
 
 _ZERO = Fraction(0)
 
@@ -61,9 +65,8 @@ class GraphInstance:
                     raise ValueError(f"weights are not symmetric at ({i},{j})")
         self.n = n
         self.weights = tuple(tuple(row) for row in w)
-        d = lcm(*(v.denominator for row in w for v in row))
-        self.denominator = d
-        self._w = tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in w)
+        flat, self.denominator = over_common_denominator([v for row in w for v in row])
+        self._w = tuple(tuple(flat[k:k + n + 1]) for k in range(0, len(flat), n + 1))
         self._cost_cache: dict[int, int] = {0: 0}
         self._monotone_table: tuple[int, ...] | None = None
 
@@ -73,7 +76,8 @@ class GraphInstance:
     ) -> "GraphInstance":
         """Build from an edge list; absent edges get a weight larger than any
         spanning tree of the given edges, so they never enter an MST. The
-        given edges must connect {0, ..., n}."""
+        given edges must connect {0, ..., n}, and n may not exceed
+        ``GRAPH_AGENT_LIMIT`` (EnumerationLimitError)."""
         seen: dict[tuple[int, int], Fraction] = {}
         total = _ZERO
         for i, j, wv in edges:
@@ -106,6 +110,11 @@ class GraphInstance:
             missing = list(islice((v for v in range(n + 1) if v not in reached), 10))
             more = " ..." if n + 1 - len(reached) > len(missing) else ""
             raise ValueError(f"input edges do not connect nodes {missing}{more} to the supplier")
+        if n > GRAPH_AGENT_LIMIT:
+            raise EnumerationLimitError(
+                f"{n} agents need a weight table of {n + 1}^2 entries; "
+                f"limit is n <= {GRAPH_AGENT_LIMIT}"
+            )
         fill = total + 1
         w = [[fill] * (n + 1) for _ in range(n + 1)]
         for (i, j), v in seen.items():
@@ -203,20 +212,18 @@ class MstGame(Game):
         self.n = graph.n
         self.graph = graph
         self.monotonized = monotonized
-        # eager: a monotonized game answers every lookup from this one table
-        self._table = graph.monotonized_table() if monotonized else None
+        # eager: a monotonized game answers every lookup from this one integer table
+        self._table = graph._scaled_monotonized_table() if monotonized else None
 
     def cost_bits(self, bits: int) -> Fraction:
         if self._table is not None:
-            return self._table[bits]
+            return Fraction(self._table[bits], self.graph.denominator)
         return self.graph.coalition_cost(bits)
 
     def scaled_table(self) -> tuple[Sequence[int], int]:
         """The graph's own integer table and its denominator D."""
-        graph = self.graph
-        if self.monotonized:
-            return graph._scaled_monotonized_table(), graph.denominator
-        return graph._scaled_cost_table(), graph.denominator
+        table = self.graph._scaled_cost_table() if self._table is None else self._table
+        return table, self.graph.denominator
 
 
 def mst_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .coalition import Coalition, bits_members
@@ -34,6 +33,7 @@ from .games import (
     Game,
     as_rational,
     check_enum_limit,
+    over_common_denominator,
     satisfies_last_monotone,
     subset_sums,
 )
@@ -365,8 +365,8 @@ def brute_force_core_oracle(game: Game) -> CoreOracle:
 
     def oracle(point: Sequence[Fraction]) -> SeparationResult:
         values = _query_point(point, n)
-        scale = lcm(d, *(v.denominator for v in values))
-        sums = subset_sums([v.numerator * (scale // v.denominator) for v in values])
+        scaled, scale = over_common_denominator(values, d)
+        sums = subset_sums(scaled)
         factor = scale // d
         costs = table if factor == 1 else [c * factor for c in table]
         for bits in range(1, 1 << n):

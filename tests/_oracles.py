@@ -134,6 +134,11 @@ def superset_min_cost(graph, bits) -> Fraction:
     return best
 
 
+def rational_row(con):
+    """A stored ``Constraint`` read back as rationals: ({variable: coef / den}, rhs / den)."""
+    return {i: Fraction(c, con.den) for i, c in con.coef.items()}, Fraction(con.rhs, con.den)
+
+
 def dual_of_canonical(objective, rows, rhs):
     """For max{c x : A x <= b, x >= 0}: the dual min{b y : A^T y >= c, y >= 0},
     stated as a maximization of -b y so both sides run through the same API."""
@@ -173,8 +178,9 @@ def reference_simplex(problem):
 
     rows, rhs, slack_of = [], [], []
     for con in problem.constraints:
-        row = [con.coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
-        b = con.rhs - sum(con.coeffs.get(i, zero) * shift[i] for i in range(n))
+        coeffs, b = rational_row(con)
+        row = [coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
+        b -= sum(coeffs.get(i, zero) * shift[i] for i in range(n))
         scol = None
         if con.relation != "==":
             scol = nstruct + sum(1 for s in slack_of if s is not None)
@@ -270,13 +276,14 @@ def reference_verify_point(problem, point):
     x = [Fraction(v) for v in point]
     rows = []
     for idx, con in enumerate(problem.constraints):
-        lhs = sum((c * x[i] for i, c in con.coeffs.items()), Fraction(0))
+        coeffs, b = rational_row(con)
+        lhs = sum((c * x[i] for i, c in coeffs.items()), Fraction(0))
         if con.relation == "<=":
-            ok = lhs <= con.rhs
+            ok = lhs <= b
         elif con.relation == ">=":
-            ok = lhs >= con.rhs
+            ok = lhs >= b
         else:
-            ok = lhs == con.rhs
+            ok = lhs == b
         if not ok:
             rows.append(idx)
     bounds = [

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from allocore.games import (
     is_monotone,
     is_subadditive,
     is_submodular,
+    over_common_denominator,
     profit_transform_allocation,
     satisfies_last_monotone,
     subset_sums,
@@ -254,6 +256,22 @@ def test_subset_sums_matches_direct(shares):
     sums = subset_sums(shares)
     for bits in range(1 << len(shares)):
         assert sums[bits] == coalition_sum(shares, bits)
+
+
+def test_over_common_denominator_cases():
+    assert over_common_denominator([]) == ([], 1)
+    assert over_common_denominator([], 6) == ([], 6)
+    assert over_common_denominator([Fraction(1, 2), Fraction(-2, 3), Fraction(5)]) == ([3, -4, 30], 6)
+    # base > 1, as for the core oracle's query point over lcm(D, its denominators)
+    assert over_common_denominator([Fraction(1, 4), Fraction(1, 3)], 6) == ([3, 4], 12)
+    assert over_common_denominator([Fraction(1, 2), Fraction(3)], 4) == ([2, 12], 4)
+
+
+@given(st.lists(st.fractions(), max_size=6), st.integers(1, 30))
+def test_over_common_denominator_is_exact(values, base):
+    scaled, d = over_common_denominator(values, base)
+    assert d == lcm(base, *(v.denominator for v in values))
+    assert [Fraction(v, d) for v in scaled] == values
 
 
 def test_allocation_interface():

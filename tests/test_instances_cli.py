@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -19,6 +20,7 @@ from allocore.instances import (
     to_game,
     to_graph,
 )
+from allocore.mstgame import GRAPH_AGENT_LIMIT
 
 
 EXPLICIT_TEXT = """
@@ -203,6 +205,18 @@ class TestCliAnalyze:
                "edges": [[0, j, "1"] for j in range(1, 18)]}
         path = write("big.json", json.dumps(big))
         code, _, err = run_cli(capsys, "analyze", path)
+        assert code == 3
+        assert "limit" in err
+
+    def test_graph_size_limit_exit_code(self, write, capsys):
+        # A connected star one agent above the limit fails before the
+        # (n+1)^2 weight table is built.
+        n = GRAPH_AGENT_LIMIT + 1
+        star = {"format": "mst", "n": n, "edges": [[0, j, "1"] for j in range(1, n + 1)]}
+        path = write("star.json", json.dumps(star))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "mst", path, "gh")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert "limit" in err
 

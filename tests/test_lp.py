@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ from allocore.relaxations import almost_core_problem
 from _oracles import (
     dual_of_canonical,
     polyhedron_max,
+    rational_row,
     reference_simplex,
     reference_verify_point,
 )
@@ -107,8 +109,10 @@ def test_malformed_dimensions():
     assert p.constraints == []
     p.add({1: 3, 0: 0}, "<=", 1)
     p.add({1: "2/3", 0: -1}, ">=", 0)
-    assert p.constraints[0].coeffs == {1: 3}  # the zero is not stored
-    assert list(p.constraints[1].coeffs.items()) == [(0, -1), (1, Fraction(2, 3))]
+    first, second = p.constraints
+    assert (first.coef, first.rhs, first.den) == ({1: 3}, 1, 1)  # the zero is not stored
+    # -x0 + 2/3 x1 >= 0 is stored over its denominator 3
+    assert (list(second.coef.items()), second.rhs, second.den) == ([(0, -3), (1, 2)], 0, 3)
     with pytest.raises(ValueError):
         LpProblem(2, [1])
     with pytest.raises(ValueError):
@@ -225,6 +229,30 @@ coprime_fractions = st.builds(
 )
 
 
+# The same rationals as ints (when integral), "p/q" strings or Fractions.
+exact_inputs = coprime_fractions.flatmap(
+    lambda f: st.sampled_from(
+        [f, f"{f.numerator}/{f.denominator}"] + ([f.numerator] if f.denominator == 1 else [])
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.just(0) | exact_inputs, max_size=6), exact_inputs)
+def test_stored_row_is_the_input_over_its_lcm(coeffs, rhs):
+    p = LpProblem(6, [0] * 6)
+    p.add(coeffs, "<=", rhs)
+    con = p.constraints[0]
+    nonzero = {i: Fraction(v) for i, v in sorted(coeffs.items()) if Fraction(v)}
+    assert list(con.coef) == list(nonzero)
+    assert all(type(v) is int for v in (*con.coef.values(), con.rhs, con.den))
+    for i, c in nonzero.items():
+        assert Fraction(con.coef[i], con.den) == c
+    assert Fraction(con.rhs, con.den) == Fraction(rhs)
+    # exactly the lcm, so no row is over-scaled
+    assert con.den == lcm(Fraction(rhs).denominator, *(c.denominator for c in nonzero.values()))
+
+
 @st.composite
 def mixed_programs(draw):
     """LPs with mixed relations, negative right-hand sides, free and shifted
@@ -244,11 +272,12 @@ def mixed_programs(draw):
         # a combination of equality rows: redundant, or contradicting when shifted
         a, b = draw(coprime_fractions), draw(coprime_fractions)
         first, second = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
+        (row1, rhs1), (row2, rhs2) = rational_row(first), rational_row(second)
         shift = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3)]))
         problem.add(
-            {i: a * first.coeffs.get(i, 0) + b * second.coeffs.get(i, 0) for i in range(n)},
+            {i: a * row1.get(i, 0) + b * row2.get(i, 0) for i in range(n)},
             "==",
-            a * first.rhs + b * second.rhs + shift,
+            a * rhs1 + b * rhs2 + shift,
         )
     if draw(st.booleans()):  # a box keeps most of these bounded
         for i in range(n):
@@ -293,14 +322,14 @@ def test_verify_point_matches_fraction_check(problem, data):
 def test_stored_rows_are_read_only():
     p = LpProblem(2, [1, 1])
     p.add({0: 1, 1: 2}, "<=", 3)
-    coeffs = p.constraints[0].coeffs
+    coef = p.constraints[0].coef
     with pytest.raises(TypeError):
-        coeffs[0] = 0
+        coef[0] = 0
     with pytest.raises(TypeError):
-        coeffs[5] = 1
+        coef[5] = 1
     with pytest.raises(TypeError):
-        del coeffs[1]
-    assert dict(coeffs) == {0: 1, 1: 2}
+        del coef[1]
+    assert dict(coef) == {0: 1, 1: 2}
 
 
 def assert_optimal_vertex(problem, sol):
@@ -308,8 +337,9 @@ def assert_optimal_vertex(problem, sol):
     assert sol.status is LpStatus.OPTIMAL
     assert verify_point(problem, sol.point).feasible
     n = problem.num_vars
-    rows = [[con.coeffs.get(i, 0) for i in range(n)] for con in problem.constraints]
-    rhs = [con.rhs for con in problem.constraints]
+    stored = [rational_row(con) for con in problem.constraints]
+    rows = [[coeffs.get(i, 0) for i in range(n)] for coeffs, _ in stored]
+    rhs = [b for _, b in stored]
     rels = [con.relation for con in problem.constraints]
     for i, lb in enumerate(problem.lower_bounds):
         if lb is not None:
