@@ -5,7 +5,8 @@ Subcommands: ``analyze`` (core emptiness and every relaxation optimum),
 cost table of a spanning-tree instance), ``separate`` (almost-core
 membership of a given point), and ``bench`` (seeded random study of the
 realized approximation ratio). All numeric output is exact "p/q" text;
-``--decimal`` adds a clearly-labeled approximate rendering.
+``--decimal`` adds an ``approximate_decimal`` block in which each exact
+number is a float, or its exact text when it is beyond float range.
 
 Exit codes: 0 success, 2 parse error, 3 enumeration limit exceeded,
 4 precondition failure.
@@ -17,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
@@ -40,69 +42,46 @@ EXIT_LIMIT = 3
 EXIT_PRECONDITION = 4
 
 
-def _decimalize(value):
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except ValueError:
-            return value
-    if isinstance(value, list):
-        return [_decimalize(v) for v in value]
+def _float_or_exact(value: Fraction) -> float | str:
+    """The nearest float, or the exact "p/q" text when the value is beyond
+    float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return str(value)
+
+
+def _render(value, number):
+    """The JSON form of a typed result: each Fraction becomes number(value),
+    an Allocation, tuple or list a list, and a dict keeps its key order;
+    str, int, bool and None pass through."""
+    if isinstance(value, Fraction):
+        return number(value)
+    if isinstance(value, (Allocation, tuple, list)):
+        return [_render(v, number) for v in value]
     if isinstance(value, dict):
-        return {k: _decimalize(v) for k, v in value.items()}
+        return {k: _render(v, number) for k, v in value.items()}
     return value
 
 
-def _emit(report: dict, decimal: bool) -> None:
+def _emit(result: dict, decimal: bool) -> None:
+    out = _render(result, str)
     if decimal:
-        report = dict(report)
-        report["approximate_decimal"] = _decimalize(
-            {k: v for k, v in report.items() if k != "approximate_decimal"}
-        )
-    print(json.dumps(report, indent=2))
+        out["approximate_decimal"] = _render(result, _float_or_exact)
+    print(json.dumps(out, indent=2))
 
 
-def _alloc(a: Allocation | None):
-    return None if a is None else a.as_strings()
-
-
-def _frac(v: Fraction | None):
-    return None if v is None else str(v)
+def _fields(record, *skip: str) -> dict:
+    """A dataclass's fields in declaration order, without those in ``skip``."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
 
 
 def cmd_analyze(args) -> int:
     instance = instances.load(args.file)
     game = instances.to_game(instance, monotonize=args.monotonize)
-    report = full_report(game)
-    out = {
-        "format": instance.format,
-        "n": instance.n,
-        "monotonized": args.monotonize,
-        "c_grand": _frac(report.c_grand),
-        "core_nonempty": report.core_nonempty,
-        "core_allocation": _alloc(report.core_allocation),
-        "ac_opt": _frac(report.ac_opt),
-        "ac_opt_allocation": _alloc(report.ac_opt_allocation),
-    }
-    if args.nonneg:
-        out["ac_opt_nonneg"] = _frac(report.ac_opt_nonneg)
-        out["ac_opt_nonneg_allocation"] = _alloc(report.ac_opt_nonneg_allocation)
-    out.update(
-        {
-            "eps_strong": _frac(report.eps_strong),
-            "eps_strong_allocation": _alloc(report.eps_strong_allocation),
-            "eps_weak": _frac(report.eps_weak),
-            "eps_weak_allocation": _alloc(report.eps_weak_allocation),
-            "eps_mult": _frac(report.eps_mult),
-            "eps_mult_allocation": _alloc(report.eps_mult_allocation),
-            "gamma_approx": _frac(report.gamma_approx),
-            "gamma_allocation": _alloc(report.gamma_allocation),
-            "cost_of_stability": _frac(report.cost_of_stability),
-            "extended_core_delta": _frac(report.extended_core_delta),
-            "extended_core_x": _alloc(report.extended_core_x),
-            "extended_core_t": _alloc(report.extended_core_t),
-        }
-    )
+    skip = () if args.nonneg else ("ac_opt_nonneg", "ac_opt_nonneg_allocation")
+    out = {"format": instance.format, "n": instance.n, "monotonized": args.monotonize}
+    out.update(_fields(full_report(game), "n", *skip))
     _emit(out, args.decimal)
     return EXIT_OK
 
@@ -119,19 +98,6 @@ def _ratio(optimum: Fraction, value: Fraction) -> Fraction:
 def cmd_mst(args) -> int:
     instance = instances.load(args.file)
     graph = instances.to_graph(instance)
-    if args.action == "gh":
-        allocation = granot_huberman(graph)
-        _emit(
-            {
-                "format": instance.format,
-                "n": instance.n,
-                "command": "gh",
-                "allocation": allocation.as_strings(),
-                "value": str(allocation.total()),
-            },
-            args.decimal,
-        )
-        return EXIT_OK
     if args.action == "table":
         table = (
             graph.monotonized_table() if args.monotonize else graph.cost_table()
@@ -139,27 +105,24 @@ def cmd_mst(args) -> int:
         dump = instances.explicit_instance_from_table(graph.n, table)
         print(instances.serialize(dump), end="")
         return EXIT_OK
+    head = {"format": instance.format, "n": instance.n, "command": args.action}
+    if args.action == "gh":
+        allocation = granot_huberman(graph)
+        _emit({**head, "allocation": allocation, "value": allocation.total()}, args.decimal)
+        return EXIT_OK
     # approx
     allocation, trace = almost_core_approx(graph)
     value = allocation.total()
     out = {
-        "format": instance.format,
-        "n": instance.n,
-        "command": "approx",
-        "allocation": allocation.as_strings(),
-        "value": str(value),
-        "trace": {
-            "insertion_order": list(trace.insertion_order),
-            "tree_edges": [list(e) for e in trace.tree_edges],
-            "pre_update_shares": trace.pre_update_shares.as_strings(),
-            "last_agent": trace.last_agent,
-            "argmin_k": trace.argmin_k,
-        },
+        **head,
+        "allocation": allocation,
+        "value": value,
+        "trace": _fields(trace, "final_shares"),
     }
     if graph.n <= args.limit:
         optimum, _ = almost_core_optimum(MstGame(graph), require_nonneg=True)
-        out["optimum"] = str(optimum)
-        out["ratio"] = str(_ratio(optimum, value))
+        out["optimum"] = optimum
+        out["ratio"] = _ratio(optimum, value)
     _emit(out, args.decimal)
     return EXIT_OK
 
@@ -185,7 +148,7 @@ def cmd_separate(args) -> int:
         "format": instance.format,
         "n": instance.n,
         "nonneg": args.nonneg,
-        "point": [str(v) for v in point],
+        "point": point,
         "verdict": result.verdict,
     }
     if result.coalition is not None:
@@ -193,7 +156,7 @@ def cmd_separate(args) -> int:
     if result.negative_agent is not None:
         out["agent"] = result.negative_agent
     if result.amount is not None:
-        out["amount"] = str(result.amount)
+        out["amount"] = result.amount
     _emit(out, args.decimal)
     return EXIT_OK
 
@@ -246,15 +209,16 @@ def cmd_bench(args) -> int:
         if args.decimal:
             record["ratio_decimal"] = float(ratio)
         print(json.dumps(record))
+    mean = sum(ratios, Fraction(0)) / len(ratios)
     summary = {
         "count": args.count,
         "seed": args.seed,
         "ratio_min": str(min(ratios)),
-        "ratio_mean": str(sum(ratios, Fraction(0)) / len(ratios)),
+        "ratio_mean": str(mean),
         "ratio_max": str(max(ratios)),
     }
     if args.decimal:
-        summary["ratio_mean_decimal"] = float(Fraction(summary["ratio_mean"]))
+        summary["ratio_mean_decimal"] = float(mean)
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -321,10 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_point(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InstanceParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (InstanceParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationLimitError as exc:

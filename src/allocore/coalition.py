@@ -46,7 +46,7 @@ class Coalition:
         return cls.from_members([agent], n)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
+        return bits_members(self.bits)
 
     def size(self) -> int:
         return self.bits.bit_count()
@@ -83,12 +83,11 @@ def submasks_ascending(mask: int) -> Iterator[int]:
 
 
 def bits_members(bits: int) -> tuple[int, ...]:
-    """1-indexed members of a raw bitmask (hot-loop helper)."""
+    """1-indexed members of a raw bitmask, in ascending order; the one
+    bitmask decoder. Walks the set bits, lowest first."""
     out = []
-    i = 1
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
     return tuple(out)

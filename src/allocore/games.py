@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .coalition import Coalition, submasks_ascending
+from .coalition import Coalition, bits_members, submasks_ascending
 from .errors import EnumerationLimitError
 
 #: Hard cap for any operation that enumerates all coalitions (2^n table rows).
@@ -80,14 +80,7 @@ class Allocation:
         return self.on_bits(coalition.bits)
 
     def on_bits(self, bits: int) -> Fraction:
-        total = _ZERO
-        i = 0
-        while bits:
-            if bits & 1:
-                total += self.shares[i]
-            bits >>= 1
-            i += 1
-        return total
+        return sum((self.shares[i - 1] for i in bits_members(bits)), _ZERO)
 
     def as_strings(self) -> list[str]:
         return [str(v) for v in self.shares]

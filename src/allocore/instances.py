@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coalition import bits_members
 from .errors import InstanceParseError, PreconditionError
 from .games import ENUM_LIMIT, ExplicitGame, Game, as_rational
 from .mstgame import GraphInstance, MstGame
@@ -178,7 +179,7 @@ def serialize(instance: InstanceFile) -> str:
     if instance.format == EXPLICIT:
         entries = []
         for bits, value in instance.costs:
-            key = ",".join(str(i + 1) for i in range(instance.n) if (bits >> i) & 1)
+            key = ",".join(map(str, bits_members(bits)))
             entries.append(f"    {json.dumps(key)}: {json.dumps(str(value))}")
         body = '  "costs": {\n' + ",\n".join(entries) + "\n  }"
         if instance.default is not None:
@@ -210,10 +211,10 @@ def to_game(instance: InstanceFile, monotonize: bool = False) -> Game:
     return MstGame(to_graph(instance), monotonized=monotonize)
 
 
-def explicit_instance_from_table(n: int, table, default: Fraction | None = None) -> InstanceFile:
+def explicit_instance_from_table(n: int, table) -> InstanceFile:
     """An explicit InstanceFile for a full 2^n table (entry 0 must be 0)."""
     costs = tuple((bits, table[bits]) for bits in range(1, 1 << n))
-    return InstanceFile(format=EXPLICIT, n=n, costs=costs, default=default)
+    return InstanceFile(format=EXPLICIT, n=n, costs=costs)
 
 
 def mst_instance_from_graph(graph: GraphInstance) -> InstanceFile:

@@ -198,9 +198,14 @@ class _Tableau:
     row; cost holds the reduced costs, whose signs pick the entering column."""
 
     def __init__(self, rows: list[_Row], basis: list[int], cost: _Row):
+        """Take the objective row ``cost`` and price it out against the basic
+        columns, so that it holds the reduced costs."""
         self.rows = rows
         self.basis = basis
         self.cost = cost
+        for row, bcol in zip(rows, basis):
+            if bcol in cost.coef:
+                cost.eliminate(row, bcol)
 
     def pivot(self, r: int, c: int) -> None:
         """Pivot on (r, c): scale row r to read 1 in column c, then clear
@@ -309,10 +314,8 @@ def solve(problem: LpProblem) -> LpSolution:
             art_rows.append(r)
 
     if art_rows:
-        # Phase 1: maximize -(sum of artificials), priced out against their rows.
+        # Phase 1: maximize -(sum of artificials).
         cost = _Row({width + k: -1 for k in range(len(art_rows))}, 0, 1)
-        for r in art_rows:
-            cost.eliminate(rows[r], basis[r])
         tab = _Tableau(rows, basis, cost)
         verdict = tab.run_simplex()
         if verdict != "optimal":  # the phase-1 objective is bounded by 0
@@ -334,12 +337,9 @@ def solve(problem: LpProblem) -> LpSolution:
         for row in rows:
             row.coef = {j: v for j, v in row.coef.items() if j < width}
 
-    # Phase 2: reduce the real objective against the current basis.
+    # Phase 2: the real objective over the current basis.
     obj, d = over_common_denominator(problem.objective)
     cost = _Row(columns({i: c for i, c in enumerate(obj) if c}), 0, d * scale)
-    for row, bcol in zip(rows, basis):
-        if bcol in cost.coef:
-            cost.eliminate(row, bcol)
     tab = _Tableau(rows, basis, cost)
     verdict = tab.run_simplex()
     if verdict == "unbounded":

@@ -459,9 +459,7 @@ def separate_almost_core_nonneg(
             f"removing agent {cond.witness} raises the cost above c(N); the "
             "nonnegative separation reduction requires c(N \\ {k}) <= c(N)"
         )
-    shares = tuple(as_rational(v) for v in xhat)
-    if len(shares) != game.n:
-        raise ValueError("point length does not match the game")
+    shares = tuple(_query_point(xhat, game.n))
     for i, v in enumerate(shares):
         if v < 0:
             return SeparationResult(False, negative_agent=i + 1, amount=-v)

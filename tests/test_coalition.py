@@ -51,4 +51,4 @@ def test_members_bits_bijection(members, n):
     c = Coalition.from_members(members, n)
     assert set(c.members()) == members
     assert c.size() == len(members)
-    assert bits_members(c.bits) == c.members()
+    assert bits_members(c.bits) == c.members() == tuple(sorted(members))

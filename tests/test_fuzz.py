@@ -27,6 +27,9 @@ BAD_RATIONALS = [
     "1/0", "abc", "1.5", "1e5", "1e999999999", "-1", "", " 3/4 ", "1/-2", "nan",
     "inf", "x/y", "1//2", "0x10", "9" * 5000, 1.5, True, None, [], {}, 10**30, -3,
 ]
+HUGE_GRAND = json.dumps(
+    {"format": "explicit", "n": 2, "costs": {"1": "1", "2": "1", "1,2": "1" + "0" * 400}}
+)
 BAD_KEYS = ["1", "2", "1,2", "2,1", "", "0", "a", "1,,2", "99", " 1", "1 ", "+1", "١", "1,2,3"]
 
 counts = st.integers(-2, 5) | st.sampled_from([17, 40, 10**6, 10**18, "3", 3.0, True, None, [3]])
@@ -191,7 +194,8 @@ def test_cli_unreadable_paths_are_parse_errors():
 def test_inputs_the_fuzz_found():
     """Each of these once ended in a traceback, a MemoryError or a hang; the
     coalition written as both "1" and " 1" silently kept only its last cost,
-    and ``--count 0`` failed inside ``min()``."""
+    ``--count 0`` failed inside ``min()``, and ``--decimal`` overflowed on a
+    cost beyond float range."""
     with tempfile.TemporaryDirectory() as tmp:
         cases = {
             "[" * 100_000 + "]" * 100_000: 2,  # RecursionError in json
@@ -207,3 +211,7 @@ def test_inputs_the_fuzz_found():
                 handle.write(text)
             assert run_main(["analyze", path]) == code
         assert run_main(["bench", "--count", "0"]) == 4
+        # c(N) = 10^400 is beyond float range: --decimal raised OverflowError.
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(HUGE_GRAND)
+        assert run_main(["analyze", path, "--decimal"]) == 0

@@ -33,6 +33,8 @@ POINTS = {
     "subsidy_k5": "-5,5,5",
     "tight_ratio_eps_quarter": "1,1,0",
 }
+# The instances in spanning-tree format, which the ``mst`` cases also run on.
+MST_INSTANCES = ("large_gap_k5", "steiner_counterexample", "subsidy_k5", "tight_ratio_eps_quarter")
 
 
 def _cases() -> dict[str, list[str]]:
@@ -47,6 +49,16 @@ def _cases() -> dict[str, list[str]]:
             "separate", path, f"--point={point}", "--nonneg", "--monotonize"
         ]
         cases[f"mst-approx-{name}"] = ["mst", path, "approx"]
+        cases[f"analyze-nonneg-decimal-{name}"] = ["analyze", path, "--nonneg", "--decimal"]
+        if name in MST_INSTANCES:
+            cases[f"mst-approx-decimal-{name}"] = ["mst", path, "approx", "--decimal"]
+            cases[f"mst-gh-{name}"] = ["mst", path, "gh"]
+            cases[f"mst-table-{name}"] = ["mst", path, "table"]
+            cases[f"mst-table-monotonize-{name}"] = ["mst", path, "table", "--monotonize"]
+    # A multi-member coalition key under --decimal stays the string "1,2".
+    cases["separate-decimal-empty_core"] = [
+        "separate", "instances/empty_core.json", "--point=1,1,0", "--decimal"
+    ]
     cases["bench-seed7"] = ["bench", "--seed", "7", "--count", "200", "--n", "3-8"]
     return cases
 

@@ -190,6 +190,18 @@ class TestCliAnalyze:
         report = json.loads(out)
         assert report["approximate_decimal"]["cost_of_stability"] == 0.5
 
+    def test_decimal_beyond_float_range_repeats_the_exact_string(self, write, capsys):
+        huge = "1" + "0" * 400
+        data = {"format": "explicit", "n": 2, "costs": {"1": "1", "2": "1", "1,2": huge}}
+        path = write("huge.json", json.dumps(data))
+        code, out, err = run_cli(capsys, "analyze", path, "--decimal")
+        assert code == 0, err
+        report = json.loads(out)
+        block = report["approximate_decimal"]
+        assert report["c_grand"] == block["c_grand"] == huge
+        assert block["ac_opt"] == 2.0
+        assert block["gamma_approx"] == 0.0  # 1/(5*10^399) rounds to zero, no overflow
+
     def test_parse_error_exit_code(self, write, capsys):
         path = write("bad.json", EXPLICIT_TEXT.replace('"1,3"', '"3,1"'))
         code, _, err = run_cli(capsys, "analyze", path)
@@ -309,6 +321,14 @@ class TestCliSeparate:
         assert report["verdict"] == "violated"
         assert report["coalition"] == "1,2"
         assert report["amount"] == "1"
+
+    def test_decimal_keeps_a_singleton_key_a_string(self, capsys):
+        path = str(Path(__file__).resolve().parent.parent / "instances" / "steiner_counterexample.json")
+        code, out, _ = run_cli(capsys, "separate", path, "--point=0,2,2", "--decimal")
+        report = json.loads(out)
+        assert code == 0
+        assert report["coalition"] == report["approximate_decimal"]["coalition"] == "2"
+        assert report["approximate_decimal"]["amount"] == 1.0
 
     def test_dimension_error(self, write, capsys, tight_quarter):
         path = write("g.json", serialize(mst_instance_from_graph(tight_quarter)))

@@ -419,6 +419,8 @@ class TestSeparation:
                     oracle(point)
         with pytest.raises(ValueError):
             separate_almost_core([0, 0, 0, 100], brute_force_core_oracle(game), game.grand_cost())
+        with pytest.raises(ValueError, match="point has 4 entries, the game has 3 agents"):
+            separate_almost_core_nonneg([0, 0, 0, 100], brute_force_nonneg_core_oracle(game), game)
 
     def test_nonneg_requires_last_monotone(self, gap5):
         game = MstGame(gap5)
