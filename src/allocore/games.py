@@ -82,9 +82,6 @@ class Allocation:
     def on_bits(self, bits: int) -> Fraction:
         return sum((self.shares[i - 1] for i in bits_members(bits)), _ZERO)
 
-    def as_strings(self) -> list[str]:
-        return [str(v) for v in self.shares]
-
 
 def subset_sums(shares: Sequence) -> list:
     """x(S) for every bitmask S, via the one-lower-bit recurrence.

@@ -110,12 +110,17 @@ class LpProblem:
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         row = {}
-        for i, v in sorted(coeffs.items()):
+        last, ascending = -1, True  # builders emit ascending keys; sort only other rows
+        for i, v in coeffs.items():
             if not isinstance(i, int) or not 0 <= i < self.num_vars:
                 raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
+            ascending = ascending and i > last
+            last = i
             c = as_rational(v)
             if c:
                 row[i] = c
+        if not ascending:
+            row = dict(sorted(row.items()))
         nums, den = over_common_denominator([*row.values(), as_rational(rhs)])
         coef = MappingProxyType(dict(zip(row, nums)))
         self.constraints.append(Constraint(coef, relation, nums[-1], den))

@@ -18,13 +18,29 @@ solve and the gamma and multiplicative identities hold by algebra; the
 subsidy and weak-epsilon programs are the independent cross-checks of
 cost of stability = subsidy = n * eps_w. ``full_report`` checks every
 identity before returning.
+
+Every program has one row per proper coalition (2^n - 2 rows), of which
+about n bind at an optimal vertex, so each is solved by row generation
+(``_solve_coalitions``). The working set starts from the n singleton rows,
+plus the grand-coalition row where the program has one; these bound every
+program. After each exact solve, one scan of all coalitions on integers
+(the point and the cost table over one common denominator, x(S) from one
+subset-sum pass, the eps or subsidy term as integers too) finds the
+violated rows, and the n most violated, ties to the smaller bitmask, join
+the working set. When the scan finds none, the working-set optimum is
+feasible for the full program and at least its optimum (the working set
+is a relaxation), so it is the exact optimum. On three random
+rational-model spanning-tree games per size, the nonnegative almost-core
+program took 4 to 8 rounds and ended with 36 to 56 of its 510 rows at
+n = 9, 53 to 72 of 4094 at n = 12 and 45 to 112 of 16382 at n = 14.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coalition import Coalition, bits_members
 from .errors import PreconditionError, UndefinedRatioError
@@ -37,7 +53,7 @@ from .games import (
     satisfies_last_monotone,
     subset_sums,
 )
-from .lp import LpProblem, LpSolution, solve
+from .lp import LpProblem, LpSolution, LpStatus, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,41 +77,108 @@ def _indicator(bits: int, first: int = 0, value: Fraction = _ONE) -> dict[int, F
     return dict.fromkeys((first + i - 1 for i in bits_members(bits)), value)
 
 
+class _Extra(NamedTuple):
+    """The y-part of every coalition row, y being the variables n and up.
+
+    Its coefficients are integers, so y over a denominator P gives every
+    row's y-part over the same P.
+    """
+
+    row: Callable[[int], dict[int, Fraction]]  # bits -> {y variable: coefficient}
+    values: Callable[[Sequence[int]], list[int]]  # P * y -> P * (y-part of row S), every bitmask S
+
+
+def _add_rows(
+    problem: LpProblem, game: Game, coalitions: Iterable[int], relation: str, extra: _Extra | None
+) -> None:
+    """Append the row x(S) + extra(S) . y (relation) c(S) for each bitmask S."""
+    for bits in coalitions:
+        row = _indicator(bits)
+        if extra is not None:
+            row.update(extra.row(bits))
+        problem.add(row, relation, game.cost_bits(bits))
+
+
 def _coalition_program(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, relation: str = "<=", extra: Callable[[int], dict[int, Fraction]] | None = None,
-    grand: str | None = None,
+    what: str, relation: str = "<=", extra: _Extra | None = None, grand: str | None = None,
+    coalitions: Iterable[int] | None = None,
 ) -> LpProblem:
-    """Rows x(S) + extra(S) . y (relation) c(S) for proper S in ascending bitmask order.
+    """Rows x(S) + extra(S) . y (relation) c(S) for the given coalitions S.
 
-    x are the first n variables, y the rest, and extra(S) maps y-variables
-    (indices n and up) to coefficients; a last row x(N) (grand) c(N) is
-    added when ``grand`` names a relation.
+    x are the first n variables and y the rest. ``coalitions`` defaults to
+    every proper coalition in ascending bitmask order; a last row
+    x(N) (grand) c(N) is added when ``grand`` names a relation.
     """
     check_enum_limit(game.n, f"building {what}")
     n = game.n
     problem = LpProblem(len(objective), objective, bounds)
     if extra is None and problem.num_vars != n:
         raise ValueError("objective length does not match the game")
-    for bits in range(1, (1 << n) - 1):
-        row = _indicator(bits)
-        if extra is not None:
-            row.update(extra(bits))
-        problem.add(row, relation, game.cost_bits(bits))
+    if coalitions is None:
+        coalitions = range(1, (1 << n) - 1)
+    _add_rows(problem, game, coalitions, relation, extra)
     if grand is not None:
         problem.add(_indicator((1 << n) - 1), grand, game.grand_cost())
     return problem
 
 
+def _solve_coalitions(
+    game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
+    what: str, relation: str = "<=", extra: _Extra | None = None, grand: str | None = None,
+) -> LpSolution:
+    """The optimum of :func:`_coalition_program` over every proper coalition,
+    by row generation (see the module docstring).
+
+    An infeasible working set proves the full program infeasible; an
+    unbounded one is a bug, since the seed rows bound every program here.
+    """
+    n = game.n
+    full = (1 << n) - 1
+    working = {1 << i for i in range(n)} - {full}
+    problem = _coalition_program(
+        game, objective, bounds, what=what, relation=relation, extra=extra, grand=grand,
+        coalitions=sorted(working),
+    )
+    table, d = game.scaled_table()
+    sign = -1 if relation == ">=" else 1
+    while True:
+        solution = solve(problem)
+        _ensure(solution.status is not LpStatus.UNBOUNDED, f"{what} came back unbounded over its rows")
+        if not solution.is_optimal:
+            return solution
+        point, scale = over_common_denominator(solution.point, d)
+        lhs = subset_sums(point[:n])
+        if extra is not None:
+            lhs = [a + b for a, b in zip(lhs, extra.values(point[n:]))]
+        factor = scale // d
+        excess = [sign * (a - factor * c) for a, c in zip(lhs, table)]
+        violated = heapq.nlargest(
+            n, (b for b in range(1, full) if excess[b] > 0), key=excess.__getitem__
+        )
+        if not violated:
+            return solution
+        # the verified point satisfies its rows, so a scan that disagrees would loop forever
+        _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
+        working.update(violated)
+        _add_rows(problem, game, violated, relation, extra)
+
+
 def almost_core_problem(game: Game, require_nonneg: bool = False) -> LpProblem:
-    """max x(N) over all proper-coalition constraints, in ascending bitmask order."""
+    """max x(N) over all proper-coalition constraints, in ascending bitmask order.
+
+    The dense program, for checking points; the solvers generate rows.
+    """
     n = game.n
     bounds = [_ZERO] * n if require_nonneg else None
     return _coalition_program(game, [_ONE] * n, bounds, what="the almost-core program")
 
 
 def core_problem(game: Game, objective: Sequence[object]) -> LpProblem:
-    """Optimize over stability constraints for every nonempty coalition, N included."""
+    """Optimize over stability constraints for every nonempty coalition, N included.
+
+    The dense program, for checking points; the solvers generate rows.
+    """
     return _coalition_program(game, objective, what="the core program", grand="<=")
 
 
@@ -107,13 +190,26 @@ def almost_core_optimum(
     With ``require_nonneg`` the agents must not be subsidized (x >= 0).
     """
     _require_multi_agent(game, "almost-core maximization")
-    solution = solve(almost_core_problem(game, require_nonneg))
+    n = game.n
+    solution = _solve_coalitions(
+        game, [_ONE] * n, [_ZERO] * n if require_nonneg else None, what="the almost-core program"
+    )
     _ensure(solution.is_optimal, f"almost-core program came back {solution.status}")
     return solution.value, Allocation(solution.point)
 
 
 def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
-    return solve(core_problem(game, objective))
+    """max objective . x over the stability constraints of every nonempty coalition.
+
+    The program is feasible (lower shares violate no row). A negative
+    objective coefficient makes it unbounded, since lowering that share
+    violates no row either; otherwise the singleton rows bound it.
+    """
+    if len(objective) != game.n:
+        raise ValueError("objective length does not match the game")
+    if any(as_rational(v) < 0 for v in objective):
+        return LpSolution(LpStatus.UNBOUNDED)
+    return _solve_coalitions(game, objective, what="the core program", grand="<=")
 
 
 class _Shareable(NamedTuple):
@@ -152,26 +248,27 @@ def core_nonempty(game: Game) -> tuple[bool, Allocation | None]:
     return core is not None, core
 
 
-def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], Fraction]) -> tuple[Fraction, Allocation]:
+def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], int]) -> tuple[Fraction, Allocation]:
     """min eps >= 0 with x(S) <= c(S) + eps * weight(|S|) for proper S, x(N) = c(N)."""
     n = game.n
-    problem = _coalition_program(
+    weights = [weight_of_size(bits.bit_count()) for bits in range(1 << n)]
+    solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="an epsilon-core program",
-        extra=lambda bits: {n: -weight_of_size(bits.bit_count())}, grand="==",
+        extra=_Extra(lambda bits: {n: -weights[bits]}, lambda y: [-w * y[0] for w in weights]),
+        grand="==",
     )
-    solution = solve(problem)
     _ensure(solution.is_optimal, f"epsilon-core program came back {solution.status}")
     return -solution.value, Allocation(solution.point[:n])
 
 
 def least_core_eps(game: Game) -> tuple[Fraction, Allocation]:
     """Smallest uniform additive relaxation (the least-core value) and a witness."""
-    return _epsilon_relaxation(game, lambda _size: _ONE)
+    return _epsilon_relaxation(game, lambda _size: 1)
 
 
 def weak_core_eps(game: Game) -> tuple[Fraction, Allocation]:
     """Smallest per-capita additive relaxation, eps scaled by coalition size."""
-    return _epsilon_relaxation(game, lambda size: Fraction(size))
+    return _epsilon_relaxation(game, lambda size: size)
 
 
 def mult_core_eps(game: Game) -> tuple[Fraction, Allocation] | None:
@@ -208,11 +305,11 @@ def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocat
     every proper coalition.
     """
     n = game.n
-    problem = _coalition_program(
+    solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n, what="the subsidy program",
-        extra=lambda bits: _indicator(bits, n, -_ONE), grand="==",
+        extra=_Extra(lambda bits: _indicator(bits, n, -_ONE), lambda t: [-s for s in subset_sums(t)]),
+        grand="==",
     )
-    solution = solve(problem)
     _ensure(solution.is_optimal, f"subsidy program came back {solution.status}")
     x = Allocation(solution.point[:n])
     t = Allocation(solution.point[n:])
@@ -227,10 +324,9 @@ def min_stable_profit(profit_game: Game) -> tuple[Fraction, Allocation]:
     singleton costs.
     """
     _require_multi_agent(profit_game, "stable-profit minimization")
-    problem = _coalition_program(
+    solution = _solve_coalitions(
         profit_game, [-_ONE] * profit_game.n, what="the stable-profit program", relation=">="
     )
-    solution = solve(problem)
     _ensure(solution.is_optimal, f"stable-profit program came back {solution.status}")
     return -solution.value, Allocation(solution.point)
 

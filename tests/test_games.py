@@ -227,7 +227,7 @@ class TestProfitTransform:
         game = MstGame(tight_quarter)
         x = Allocation.of([1, 0, 0])
         xv = profit_transform_allocation(game, x)
-        assert xv.as_strings() == ["0", "2", "2"]
+        assert [str(v) for v in xv] == ["0", "2", "2"]
         assert profit_transform_allocation(game, xv) == x
 
     def test_transform_of_singleton_costs_is_zero(self, gap5):
@@ -279,6 +279,6 @@ def test_allocation_interface():
     assert a.total() == Fraction(9, 2)
     assert a.on(Coalition.from_members([1, 3], 3)) == Fraction(7, 2)
     assert list(a) == [Fraction(1, 2), Fraction(1), Fraction(3)]
-    assert a.as_strings() == ["1/2", "1", "3"]
+    assert [str(v) for v in a] == ["1/2", "1", "3"]
     with pytest.raises(ValueError):
         a.on(Coalition.singleton(1, 2))

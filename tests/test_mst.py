@@ -110,7 +110,7 @@ class TestMonotonized:
 
 class TestGranotHuberman:
     def test_detour_instance(self, tight_quarter):
-        assert granot_huberman(tight_quarter).as_strings() == ["1", "0", "0"]
+        assert [str(v) for v in granot_huberman(tight_quarter)] == ["1", "0", "0"]
 
     def test_free_tree(self, gap5):
         assert granot_huberman(gap5).total() == 0
@@ -148,7 +148,7 @@ class TestApproximation:
             assert trace.insertion_order == (1, 2, 3)
             assert trace.last_agent == 3
             assert trace.argmin_k == 2
-            assert trace.pre_update_shares.as_strings() == ["1", "0", "0"]
+            assert [str(v) for v in trace.pre_update_shares] == ["1", "0", "0"]
 
     def test_exact_optimum_of_detour_family(self):
         # all three pair constraints bind: optimum 2 + eps/2, certified by

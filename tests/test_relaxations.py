@@ -14,12 +14,13 @@ from allocore.games import (
     to_profit_game,
 )
 from allocore.generators import (
+    WEIGHT_MODELS,
     random_empty_core_game,
     random_explicit_game,
     random_graph,
     random_last_monotone_game,
 )
-from allocore.lp import LpProblem, LpStatus, verify_point
+from allocore.lp import LpProblem, LpStatus, solve, verify_point
 from allocore.mstgame import MstGame
 from allocore.relaxations import (
     almost_core_optimum,
@@ -78,6 +79,11 @@ class TestCoreOptimum:
 
     def test_unbounded_objective_reported(self, unbalanced3):
         assert core_optimum(unbalanced3, [-1, 0, 0]).status is LpStatus.UNBOUNDED
+
+    def test_objective_length_checked(self, unbalanced3):
+        for objective in ([-1, 0], [1, 1, 1, 1]):
+            with pytest.raises(ValueError):
+                core_optimum(unbalanced3, objective)
 
 
 class TestCoreNonempty:
@@ -460,3 +466,107 @@ class TestSeparation:
                 violated = sum(point[i - 1] for i in res.coalition.members())
                 assert res.coalition.is_proper()
                 assert violated - game.cost(res.coalition) == res.amount > 0
+
+
+def _dense_programs(game):
+    """Each coalition program as (dense problem over every proper coalition,
+    the row-generation optimum in the problem's max form, its full point)."""
+    n = game.n
+    one, zero = Fraction(1), Fraction(0)
+    members = allocore.relaxations._indicator
+    extra = allocore.relaxations._Extra
+    dense = allocore.relaxations._coalition_program
+
+    def epsilon(weight, solver):
+        eps, x = solver(game)
+        problem = dense(game, [zero] * n + [-one], [None] * n + [zero], what="eps",
+                        extra=extra(lambda bits: {n: -weight(bits.bit_count())}, None), grand="==")
+        return problem, -eps, (*x, eps)
+
+    core = core_optimum(game, [1] * n)
+    subsidy, (sx, st) = extended_core_delta(game)
+    profit_game = to_profit_game(game)
+    profit, px = min_stable_profit(profit_game)
+    cases = {
+        "core": (dense(game, [one] * n, what="core", grand="<="), core.value, core.point),
+        "subsidy": (
+            dense(game, [zero] * n + [-one] * n, [None] * n + [zero] * n, what="subsidy",
+                  extra=extra(lambda bits: members(bits, n, -one), None), grand="=="),
+            -subsidy, (*sx, *st),
+        ),
+        "least-core": epsilon(lambda size: 1, least_core_eps),
+        "weak-core": epsilon(lambda size: size, weak_core_eps),
+        "stable-profit": (
+            dense(profit_game, [-one] * n, what="profit", relation=">="), -profit, tuple(px)
+        ),
+    }
+    for nonneg in (False, True):
+        value, x = almost_core_optimum(game, nonneg)
+        cases[f"almost-core nonneg={nonneg}"] = (almost_core_problem(game, nonneg), value, tuple(x))
+    return cases
+
+
+def _assert_matches_dense(game):
+    for name, (problem, value, point) in _dense_programs(game).items():
+        dense = solve(problem)
+        assert dense.is_optimal, name
+        assert value == dense.value, (name, value, dense.value)
+        assert sum(c * v for c, v in zip(problem.objective, point)) == value, name
+        assert verify_point(problem, point).feasible, name
+
+
+class TestRowGeneration:
+    """Every coalition program is solved over a working set of rows; the
+    optimum must equal the dense program's over every proper coalition."""
+
+    def test_explicit_games_match_dense(self):
+        rng = Random(91)
+        for n in range(2, 7):
+            for empty in (False, True):
+                game = random_empty_core_game(rng, n) if empty else random_explicit_game(rng, n)
+                _assert_matches_dense(game)
+
+    def test_mst_games_match_dense(self):
+        rng = Random(92)
+        for n in range(3, 11):
+            for model in WEIGHT_MODELS:
+                if n > 8 and model != WEIGHT_MODELS[n % 4]:
+                    continue
+                _assert_matches_dense(MstGame(random_graph(rng, n, model)))
+
+    def test_nonneg_mst_almost_core_at_twelve(self):
+        game = MstGame(random_graph(Random(93), 12, "rational"))
+        value, x = almost_core_optimum(game, require_nonneg=True)
+        problem = almost_core_problem(game, require_nonneg=True)
+        assert value == solve(problem).value
+        assert verify_point(problem, x).feasible
+
+    def test_two_agents(self):
+        game = ExplicitGame(2, [0, 3, 4, 5])
+        _assert_matches_dense(game)
+        assert almost_core_optimum(game) == (7, Allocation.of([3, 4]))
+        assert min_stable_profit(to_profit_game(game)) == (0, Allocation.of([0, 0]))
+
+    def test_profit_rows_are_lower_bounds(self):
+        # v(S) >= 0 rows bind from below: the minimum charges each pair its value
+        game = ExplicitGame(3, [0, 0, 0, 2, 0, 2, 2, 5])
+        value, x = min_stable_profit(game)
+        assert value == 3 and tuple(x) == (1, 1, 1)
+        _assert_matches_dense(game)
+
+    def test_rounds(self, monkeypatch):
+        solves = []
+
+        def counting(problem):
+            solves.append(len(problem.constraints))
+            return solve(problem)
+
+        monkeypatch.setattr(allocore.relaxations, "solve", counting)
+        # additive costs: charging every singleton its cost violates no coalition
+        additive = ExplicitGame(3, [0, 1, 2, 3, 4, 5, 6, 7])
+        assert almost_core_optimum(additive) == (7, Allocation.of([1, 2, 4]))
+        assert solves == [3]
+        solves.clear()
+        # every pair costs 1: the singleton optimum violates all three pair rows
+        assert almost_core_optimum(ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2]))[0] == Fraction(3, 2)
+        assert solves == [3, 6]
