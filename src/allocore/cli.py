@@ -24,7 +24,7 @@ from random import Random
 
 from . import instances
 from .errors import EnumerationLimitError, InstanceParseError, PreconditionError
-from .games import ENUM_LIMIT, Allocation, as_rational
+from .games import ENUM_LIMIT, as_rational
 from .generators import WEIGHT_MODELS, random_graph
 from .mstgame import MstGame, almost_core_approx, granot_huberman
 from .relaxations import (
@@ -53,11 +53,11 @@ def _float_or_exact(value: Fraction) -> float | str:
 
 def _render(value, number):
     """The JSON form of a typed result: each Fraction becomes number(value),
-    an Allocation, tuple or list a list, and a dict keeps its key order;
-    str, int, bool and None pass through."""
+    a tuple or list a list, and a dict keeps its key order; str, int, bool
+    and None pass through."""
     if isinstance(value, Fraction):
         return number(value)
-    if isinstance(value, (Allocation, tuple, list)):
+    if isinstance(value, (tuple, list)):
         return [_render(v, number) for v in value]
     if isinstance(value, dict):
         return {k: _render(v, number) for k, v in value.items()}
@@ -108,11 +108,11 @@ def cmd_mst(args) -> int:
     head = {"format": instance.format, "n": instance.n, "command": args.action}
     if args.action == "gh":
         allocation = granot_huberman(graph)
-        _emit({**head, "allocation": allocation, "value": allocation.total()}, args.decimal)
+        _emit({**head, "allocation": allocation, "value": sum(allocation)}, args.decimal)
         return EXIT_OK
     # approx
     allocation, trace = almost_core_approx(graph)
-    value = allocation.total()
+    value = sum(allocation)
     out = {
         **head,
         "allocation": allocation,
@@ -192,7 +192,7 @@ def cmd_bench(args) -> int:
         model = args.weights if args.weights != "mixed" else rng.choice(WEIGHT_MODELS)
         graph = random_graph(rng, n, model)
         allocation, _ = almost_core_approx(graph)
-        value = allocation.total()
+        value = sum(allocation)
         optimum, _ = almost_core_optimum(MstGame(graph), require_nonneg=True)
         ratio = _ratio(optimum, value)
         if not 1 <= ratio <= 2:
@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mst.add_argument("action", choices=("approx", "gh", "table"))
     p_mst.add_argument("--monotonize", action="store_true",
                        help="dump the monotonized table (table action)")
-    p_mst.add_argument("--limit", type=int, default=12,
-                       help="compute the exact optimum and ratio when n <= LIMIT (approx action)")
+    p_mst.add_argument("--limit", type=int, default=ENUM_LIMIT,
+                       help="compute the exact optimum and ratio when n <= LIMIT "
+                            "(approx action; default %(default)s)")
     p_mst.add_argument("--decimal", action="store_true")
     p_mst.set_defaults(func=cmd_mst)
 

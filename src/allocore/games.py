@@ -1,24 +1,22 @@
-"""Transferable-utility games, allocations, and brute-force structural checks.
+"""Transferable-utility games and brute-force structural checks.
 
 A game is a pair (N, c) of agents N = {1, ..., n} and a characteristic cost
 function c on coalitions with c(empty) = 0. Cost games are nonnegative;
 profit games produced by :func:`to_profit_game` may carry negative values.
+An allocation is a plain tuple of n Fractions, agent i's share at index i - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .coalition import Coalition, bits_members, submasks_ascending
+from .coalition import Coalition, submasks_ascending
 from .errors import EnumerationLimitError
 
 #: Hard cap for any operation that enumerates all coalitions (2^n table rows).
 ENUM_LIMIT = 16
-
-_ZERO = Fraction(0)
 
 
 def check_enum_limit(n: int, what: str) -> None:
@@ -49,38 +47,6 @@ def over_common_denominator(values: Sequence[Fraction], base: int = 1) -> tuple[
     """([D * v for v in values], D): the rationals over D = lcm(base, their denominators)."""
     d = lcm(base, *(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-@dataclass(frozen=True, slots=True)
-class Allocation:
-    """A length-n vector of exact rational cost (or profit) shares."""
-
-    shares: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, values: Iterable[object]) -> "Allocation":
-        return cls(tuple(as_rational(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.shares)
-
-    def __iter__(self):
-        return iter(self.shares)
-
-    def __getitem__(self, idx: int) -> Fraction:
-        return self.shares[idx]
-
-    def total(self) -> Fraction:
-        return sum(self.shares, _ZERO)
-
-    def on(self, coalition: Coalition) -> Fraction:
-        """x(S), the sum of shares over the coalition's members."""
-        if coalition.n != len(self.shares):
-            raise ValueError("coalition universe does not match allocation length")
-        return self.on_bits(coalition.bits)
-
-    def on_bits(self, bits: int) -> Fraction:
-        return sum((self.shares[i - 1] for i in bits_members(bits)), _ZERO)
 
 
 def subset_sums(shares: Sequence) -> list:
@@ -244,9 +210,8 @@ def to_profit_game(game: Game) -> ExplicitGame:
     return ExplicitGame(game.n, values, require_nonnegative=False)
 
 
-def profit_transform_allocation(game: Game, x: Allocation) -> Allocation:
+def profit_transform_allocation(game: Game, x: Sequence[object]) -> tuple[Fraction, ...]:
     """Map cost shares to profit shares by x_i -> c({i}) - x_i (an involution)."""
     if len(x) != game.n:
         raise ValueError("allocation length does not match the game")
-    singles = game.singleton_costs()
-    return Allocation(tuple(ci - xi for ci, xi in zip(singles, x.shares)))
+    return tuple(ci - as_rational(xi) for ci, xi in zip(game.singleton_costs(), x))

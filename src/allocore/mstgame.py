@@ -2,11 +2,15 @@
 
 Agents are nodes 1..n of a complete undirected graph with a supplier node 0;
 the cost of a coalition S is the weight of a minimum spanning tree of the
-subgraph induced by S plus the supplier. The module provides the
-characteristic function, its monotonization (coalitions may route through
-outside agents as Steiner nodes), the classic one-tree core allocation,
-a 2-approximation for maximizing nonnegative shareable costs, and the
-uniform weight shift that removes the need for subsidies.
+subgraph induced by S plus the supplier. ``MstGame(graph)`` is that
+characteristic function and ``MstGame(graph, monotonized=True)`` its
+monotonization (coalitions may route through outside agents as Steiner
+nodes); ``graph.cost_table()`` and ``graph.monotonized_table()`` give either
+as a full table, for ``ExplicitGame(graph.n, table)``. The module also
+provides the classic one-tree core allocation, a 2-approximation for
+maximizing nonnegative shareable costs (both return shares as tuples of
+Fractions), and the uniform weight shift that removes the need for
+subsidies.
 
 A ``GraphInstance`` keeps its weights as integers over one common
 denominator D, the lcm of the weight denominators. Prim's algorithm, the
@@ -23,11 +27,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .coalition import Coalition, bits_members
+from .coalition import bits_members
 from .errors import EnumerationLimitError, PreconditionError
-from .games import (
-    Allocation, ExplicitGame, Game, as_rational, check_enum_limit, over_common_denominator,
-)
+from .games import Game, as_rational, check_enum_limit, over_common_denominator
 
 #: Most agents ``from_edges`` accepts; its (n+1)^2 weight table takes ~90 MB at 1000.
 GRAPH_AGENT_LIMIT = 1000
@@ -121,9 +123,6 @@ class GraphInstance:
             w[i][j] = v
             w[j][i] = v
         return cls(n, w)
-
-    def weight(self, i: int, j: int) -> Fraction:
-        return self.weights[i][j]
 
     def _tree(self, vertices: Iterable[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
         """Prim's algorithm on the scaled weights: (D * total weight,
@@ -226,25 +225,7 @@ class MstGame(Game):
         return table, self.graph.denominator
 
 
-def mst_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:
-    if coalition.n != graph.n:
-        raise ValueError("coalition universe does not match the graph")
-    return graph.coalition_cost(coalition.bits)
-
-
-def monotonized_cost(graph: GraphInstance, coalition: Coalition) -> Fraction:
-    if coalition.n != graph.n:
-        raise ValueError("coalition universe does not match the graph")
-    return Fraction(graph._scaled_monotonized_table()[coalition.bits], graph.denominator)
-
-
-def explicit_from_graph(graph: GraphInstance, monotonize: bool = False) -> ExplicitGame:
-    """Materialize the full 2^n characteristic table as an explicit game."""
-    table = graph.monotonized_table() if monotonize else graph.cost_table()
-    return ExplicitGame(graph.n, table)
-
-
-def granot_huberman(graph: GraphInstance) -> Allocation:
+def granot_huberman(graph: GraphInstance) -> tuple[Fraction, ...]:
     """Charge each agent the weight of its connecting edge in one Prim run.
 
     Budget balanced, and a core allocation of both the plain and the
@@ -254,7 +235,7 @@ def granot_huberman(graph: GraphInstance) -> Allocation:
     shares = [_ZERO] * graph.n
     for (i, j) in edges:
         shares[j - 1] = graph.weights[i][j]
-    return Allocation(tuple(shares))
+    return tuple(shares)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,13 +244,13 @@ class ApproxTrace:
 
     insertion_order: tuple[int, ...]
     tree_edges: tuple[tuple[int, int], ...]
-    pre_update_shares: Allocation
+    pre_update_shares: tuple[Fraction, ...]
     last_agent: int
     argmin_k: int
-    final_shares: Allocation
+    final_shares: tuple[Fraction, ...]
 
 
-def almost_core_approx(graph: GraphInstance) -> tuple[Allocation, ApproxTrace]:
+def almost_core_approx(graph: GraphInstance) -> tuple[tuple[Fraction, ...], ApproxTrace]:
     """2-approximation for maximizing nonnegative stable shareable costs.
 
     A Prim sweep charges each agent its connecting edge weight, then the
@@ -287,7 +268,7 @@ def almost_core_approx(graph: GraphInstance) -> tuple[Allocation, ApproxTrace]:
     for (i, j) in edges:
         shares[j - 1] = w[i][j]
     d = graph.denominator
-    pre = Allocation(tuple(Fraction(v, d) for v in shares))
+    pre = tuple(Fraction(v, d) for v in shares)
     last = order[-1]
     full = (1 << n) - 1
     best: int | None = None
@@ -301,7 +282,7 @@ def almost_core_approx(graph: GraphInstance) -> tuple[Allocation, ApproxTrace]:
             best = cand
             best_k = k
     shares[last - 1] = best
-    final = Allocation(tuple(Fraction(v, d) for v in shares))
+    final = tuple(Fraction(v, d) for v in shares)
     trace = ApproxTrace(
         insertion_order=tuple(order),
         tree_edges=tuple(edges),

@@ -45,7 +45,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .coalition import Coalition, bits_members
 from .errors import PreconditionError, UndefinedRatioError
 from .games import (
-    Allocation,
     Game,
     as_rational,
     check_enum_limit,
@@ -130,8 +129,8 @@ def _solve_coalitions(
     """The optimum of :func:`_coalition_program` over every proper coalition,
     by row generation (see the module docstring).
 
-    An infeasible working set proves the full program infeasible; an
-    unbounded one is a bug, since the seed rows bound every program here.
+    Every program here is feasible and its seed rows bound it, so a working
+    set that does not solve to OPTIMAL is a bug and raises AssertionError.
     """
     n = game.n
     full = (1 << n) - 1
@@ -144,9 +143,7 @@ def _solve_coalitions(
     sign = -1 if relation == ">=" else 1
     while True:
         solution = solve(problem)
-        _ensure(solution.status is not LpStatus.UNBOUNDED, f"{what} came back unbounded over its rows")
-        if not solution.is_optimal:
-            return solution
+        _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
         point, scale = over_common_denominator(solution.point, d)
         lhs = subset_sums(point[:n])
         if extra is not None:
@@ -184,7 +181,7 @@ def core_problem(game: Game, objective: Sequence[object]) -> LpProblem:
 
 def almost_core_optimum(
     game: Game, require_nonneg: bool = False
-) -> tuple[Fraction, Allocation]:
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """The exact almost-core optimum and one maximizer.
 
     With ``require_nonneg`` the agents must not be subsidized (x >= 0).
@@ -194,8 +191,7 @@ def almost_core_optimum(
     solution = _solve_coalitions(
         game, [_ONE] * n, [_ZERO] * n if require_nonneg else None, what="the almost-core program"
     )
-    _ensure(solution.is_optimal, f"almost-core program came back {solution.status}")
-    return solution.value, Allocation(solution.point)
+    return solution.value, solution.point
 
 
 def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
@@ -215,17 +211,17 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
 class _Shareable(NamedTuple):
     """What follows from m = max x(N) over every stability constraint, N included."""
 
-    maximizer: Allocation
-    core: Allocation | None  # the maximizer when m = c(N)
-    mult: tuple[Fraction, Allocation] | None  # c(N)/m - 1, the maximizer scaled by c(N)/m
+    maximizer: tuple[Fraction, ...]
+    core: tuple[Fraction, ...] | None  # the maximizer when m = c(N)
+    # c(N)/m - 1, the maximizer scaled by c(N)/m
+    mult: tuple[Fraction, tuple[Fraction, ...]] | None
     gamma: Fraction | None  # m / c(N)
     cost_of_stability: Fraction  # c(N) - m
 
 
 def _max_shareable(game: Game) -> _Shareable:
     solution = core_optimum(game, [_ONE] * game.n)
-    _ensure(solution.is_optimal, f"core program came back {solution.status}")
-    m, x = solution.value, Allocation(solution.point)
+    m, x = solution.value, solution.point
     c_grand = game.grand_cost()
     if m == c_grand:
         mult = _ZERO, x
@@ -233,12 +229,12 @@ def _max_shareable(game: Game) -> _Shareable:
         mult = None
     else:
         factor = c_grand / m
-        mult = factor - 1, Allocation(tuple(factor * v for v in x))
+        mult = factor - 1, tuple(factor * v for v in x)
     gamma = None if c_grand == 0 else m / c_grand
     return _Shareable(x, x if m == c_grand else None, mult, gamma, c_grand - m)
 
 
-def core_nonempty(game: Game) -> tuple[bool, Allocation | None]:
+def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Decide core nonemptiness; on success return a budget-balanced stable witness.
 
     The core is nonempty exactly when maximizing x(N) over all stability
@@ -248,7 +244,9 @@ def core_nonempty(game: Game) -> tuple[bool, Allocation | None]:
     return core is not None, core
 
 
-def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], int]) -> tuple[Fraction, Allocation]:
+def _epsilon_relaxation(
+    game: Game, weight_of_size: Callable[[int], int]
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """min eps >= 0 with x(S) <= c(S) + eps * weight(|S|) for proper S, x(N) = c(N)."""
     n = game.n
     weights = [weight_of_size(bits.bit_count()) for bits in range(1 << n)]
@@ -257,21 +255,20 @@ def _epsilon_relaxation(game: Game, weight_of_size: Callable[[int], int]) -> tup
         extra=_Extra(lambda bits: {n: -weights[bits]}, lambda y: [-w * y[0] for w in weights]),
         grand="==",
     )
-    _ensure(solution.is_optimal, f"epsilon-core program came back {solution.status}")
-    return -solution.value, Allocation(solution.point[:n])
+    return -solution.value, solution.point[:n]
 
 
-def least_core_eps(game: Game) -> tuple[Fraction, Allocation]:
+def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest uniform additive relaxation (the least-core value) and a witness."""
     return _epsilon_relaxation(game, lambda _size: 1)
 
 
-def weak_core_eps(game: Game) -> tuple[Fraction, Allocation]:
+def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest per-capita additive relaxation, eps scaled by coalition size."""
     return _epsilon_relaxation(game, lambda size: size)
 
 
-def mult_core_eps(game: Game) -> tuple[Fraction, Allocation] | None:
+def mult_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]] | None:
     """Smallest multiplicative relaxation x(S) <= (1 + eps) c(S), or None.
 
     Computed through the bijection x -> (1 + eps) x between stable
@@ -283,7 +280,7 @@ def mult_core_eps(game: Game) -> tuple[Fraction, Allocation] | None:
     return _max_shareable(game).mult
 
 
-def gamma_approx(game: Game) -> tuple[Fraction, Allocation]:
+def gamma_approx(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Largest gamma <= 1 so that a stable allocation covers gamma * c(N)."""
     if game.grand_cost() == 0:
         raise UndefinedRatioError(
@@ -298,7 +295,9 @@ def cost_of_stability(game: Game) -> Fraction:
     return _max_shareable(game).cost_of_stability
 
 
-def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocation]]:
+def extended_core_delta(
+    game: Game,
+) -> tuple[Fraction, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Minimum total subsidy t(N) restoring stability, with a witness (x, t).
 
     The witness satisfies t >= 0, x(N) = c(N), and (x - t)(S) <= c(S) for
@@ -310,13 +309,10 @@ def extended_core_delta(game: Game) -> tuple[Fraction, tuple[Allocation, Allocat
         extra=_Extra(lambda bits: _indicator(bits, n, -_ONE), lambda t: [-s for s in subset_sums(t)]),
         grand="==",
     )
-    _ensure(solution.is_optimal, f"subsidy program came back {solution.status}")
-    x = Allocation(solution.point[:n])
-    t = Allocation(solution.point[n:])
-    return -solution.value, (x, t)
+    return -solution.value, (solution.point[:n], solution.point[n:])
 
 
-def min_stable_profit(profit_game: Game) -> tuple[Fraction, Allocation]:
+def min_stable_profit(profit_game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """min x(N) subject to x(S) >= v(S) for every proper coalition.
 
     The profit-side counterpart of the almost-core maximization: for the
@@ -327,34 +323,37 @@ def min_stable_profit(profit_game: Game) -> tuple[Fraction, Allocation]:
     solution = _solve_coalitions(
         profit_game, [-_ONE] * profit_game.n, what="the stable-profit program", relation=">="
     )
-    _ensure(solution.is_optimal, f"stable-profit program came back {solution.status}")
-    return -solution.value, Allocation(solution.point)
+    return -solution.value, solution.point
 
 
 @dataclass(frozen=True, slots=True)
 class RelaxationReport:
-    """Every relaxation optimum for one game (see :func:`full_report`)."""
+    """Every relaxation optimum for one game (see :func:`full_report`).
+
+    Each ``*_allocation`` field, ``extended_core_x`` and ``extended_core_t``
+    is a tuple of n Fractions, agent i's share at index i - 1.
+    """
 
     n: int
     c_grand: Fraction
     core_nonempty: bool
-    core_allocation: Allocation | None
+    core_allocation: tuple[Fraction, ...] | None
     ac_opt: Fraction
-    ac_opt_allocation: Allocation
+    ac_opt_allocation: tuple[Fraction, ...]
     ac_opt_nonneg: Fraction
-    ac_opt_nonneg_allocation: Allocation
+    ac_opt_nonneg_allocation: tuple[Fraction, ...]
     eps_strong: Fraction
-    eps_strong_allocation: Allocation
+    eps_strong_allocation: tuple[Fraction, ...]
     eps_weak: Fraction
-    eps_weak_allocation: Allocation
+    eps_weak_allocation: tuple[Fraction, ...]
     eps_mult: Fraction | None
-    eps_mult_allocation: Allocation | None
+    eps_mult_allocation: tuple[Fraction, ...] | None
     gamma_approx: Fraction | None
-    gamma_allocation: Allocation | None
+    gamma_allocation: tuple[Fraction, ...] | None
     cost_of_stability: Fraction
     extended_core_delta: Fraction
-    extended_core_x: Allocation
-    extended_core_t: Allocation
+    extended_core_x: tuple[Fraction, ...]
+    extended_core_t: tuple[Fraction, ...]
 
 
 def full_report(game: Game) -> RelaxationReport:
@@ -526,7 +525,7 @@ def _lift(
 
 
 def separate_almost_core(
-    xhat: Allocation | Sequence[object], core_sep: CoreOracle, c_grand: object
+    xhat: Sequence[object], core_sep: CoreOracle, c_grand: object
 ) -> SeparationResult:
     """Almost-core membership via n queries to a core separation oracle.
 
@@ -541,7 +540,7 @@ def separate_almost_core(
 
 
 def separate_almost_core_nonneg(
-    xhat: Allocation | Sequence[object], core_sep: CoreOracle, game: Game
+    xhat: Sequence[object], core_sep: CoreOracle, game: Game
 ) -> SeparationResult:
     """Membership in the almost core intersected with x >= 0.
 

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -8,7 +9,6 @@ from hypothesis import given, strategies as st
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError
 from allocore.games import (
-    Allocation,
     ExplicitGame,
     is_monotone,
     is_subadditive,
@@ -20,7 +20,18 @@ from allocore.games import (
     to_profit_game,
 )
 from allocore.generators import random_explicit_game, random_graph
-from allocore.mstgame import GraphInstance, MstGame, explicit_from_graph
+from allocore.mstgame import GraphInstance, MstGame, almost_core_approx, granot_huberman
+from allocore.relaxations import (
+    almost_core_optimum,
+    core_nonempty,
+    extended_core_delta,
+    full_report,
+    gamma_approx,
+    least_core_eps,
+    min_stable_profit,
+    mult_core_eps,
+    weak_core_eps,
+)
 
 from _oracles import coalition_sum
 
@@ -225,15 +236,15 @@ class TestProfitTransform:
 
     def test_allocation_transform_and_involution(self, tight_quarter):
         game = MstGame(tight_quarter)
-        x = Allocation.of([1, 0, 0])
+        x = (1, 0, 0)
         xv = profit_transform_allocation(game, x)
         assert [str(v) for v in xv] == ["0", "2", "2"]
         assert profit_transform_allocation(game, xv) == x
 
     def test_transform_of_singleton_costs_is_zero(self, gap5):
         game = MstGame(gap5)
-        x = Allocation(game.singleton_costs())
-        assert profit_transform_allocation(game, x).total() == 0
+        x = game.singleton_costs()
+        assert sum(profit_transform_allocation(game, x)) == 0
 
 
 class TestTables:
@@ -241,12 +252,12 @@ class TestTables:
         rng = Random(3)
         for _ in range(12):
             g = random_graph(rng, rng.randint(2, 5), rng.choice(["uniform", "rational"]))
-            game = explicit_from_graph(g)
+            game = ExplicitGame(g.n, g.cost_table())
             for bits in range(1 << g.n):
                 assert game.cost_bits(bits) == g.coalition_cost(bits)
 
     def test_monotonized_table_agrees(self, steiner):
-        game = explicit_from_graph(steiner, monotonize=True)
+        game = ExplicitGame(steiner.n, steiner.monotonized_table())
         assert game.table() == steiner.monotonized_table()
 
 
@@ -274,11 +285,35 @@ def test_over_common_denominator_is_exact(values, base):
     assert [Fraction(v, d) for v in scaled] == values
 
 
-def test_allocation_interface():
-    a = Allocation.of(["1/2", 1, "3"])
-    assert a.total() == Fraction(9, 2)
-    assert a.on(Coalition.from_members([1, 3], 3)) == Fraction(7, 2)
-    assert list(a) == [Fraction(1, 2), Fraction(1), Fraction(3)]
-    assert [str(v) for v in a] == ["1/2", "1", "3"]
-    with pytest.raises(ValueError):
-        a.on(Coalition.singleton(1, 2))
+def test_share_vectors_are_tuples_of_fractions(unbalanced3, tight_quarter):
+    # The CLI prints a Fraction as "p/q" but an int as a JSON number, so a
+    # share that is not a Fraction would change the output.
+    def check(x):
+        assert type(x) is tuple and all(type(v) is Fraction for v in x), x
+
+    cores = 0
+    for game in (unbalanced3, additive_game(3), MstGame(tight_quarter)):
+        has_core, core = core_nonempty(game)
+        cores += has_core
+        report = full_report(game)
+        vectors = [
+            almost_core_optimum(game)[1],
+            almost_core_optimum(game, require_nonneg=True)[1],
+            least_core_eps(game)[1],
+            weak_core_eps(game)[1],
+            mult_core_eps(game)[1],
+            gamma_approx(game)[1],
+            *extended_core_delta(game)[1],
+            min_stable_profit(to_profit_game(game))[1],
+            profit_transform_allocation(game, (1, 0, 0)),
+            *([core] if has_core else []),
+            *(getattr(report, f.name) for f in fields(report)
+              if f.name.endswith(("_allocation", "_x", "_t"))
+              and getattr(report, f.name) is not None),
+        ]
+        for x in vectors:
+            check(x)
+    assert cores == 2  # the additive and the spanning-tree game
+    approx, trace = almost_core_approx(tight_quarter)
+    for x in (granot_huberman(tight_quarter), approx, trace.pre_update_shares, trace.final_shares):
+        check(x)

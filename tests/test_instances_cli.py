@@ -268,6 +268,16 @@ class TestCliMst:
         report = json.loads(out)
         assert "optimum" not in report
 
+    def test_approx_reports_the_optimum_by_default_at_13_agents(self, write, capsys):
+        graph = random_graph(Random(13), 13, "rational")
+        path = write("g.json", serialize(mst_instance_from_graph(graph)))
+        code, out, _ = run_cli(capsys, "mst", path, "approx")
+        assert code == 0
+        report = json.loads(out)
+        optimum, value = Fraction(report["optimum"]), Fraction(report["value"])
+        assert Fraction(report["ratio"]) == optimum / value
+        assert 1 <= optimum / value <= 2
+
     def test_gh_report(self, write, capsys, subsidy5):
         path = write("g.json", serialize(mst_instance_from_graph(subsidy5)))
         code, out, _ = run_cli(capsys, "mst", path, "gh")

@@ -6,16 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError, PreconditionError
-from allocore.games import is_subadditive, subset_sums
+from allocore.games import ExplicitGame, is_subadditive, subset_sums
 from allocore.generators import WEIGHT_MODELS, detour_instance, random_graph
 from allocore.mstgame import (
     GraphInstance,
     MstGame,
     almost_core_approx,
-    explicit_from_graph,
     granot_huberman,
-    monotonized_cost,
-    mst_cost,
     shift_weights,
 )
 from allocore.relaxations import (
@@ -46,7 +43,7 @@ class TestGraphInstance:
     def test_from_edges_completion_never_enters_a_tree(self):
         # a path 0-1-2; the missing edge 0-2 is filled with something huge
         g = GraphInstance.from_edges(2, [(0, 1, 2), (1, 2, 3)])
-        assert g.weight(0, 2) == 6  # 1 + total input weight
+        assert g.weights[0][2] == 6  # 1 + total input weight
         assert g.coalition_cost(0b11) == 5
         assert g.coalition_cost(0b10) == 6  # only agent 2: forced onto the filler
 
@@ -63,11 +60,11 @@ class TestGraphInstance:
 
 class TestMstCost:
     def test_grand_coalition_paths(self, tight_quarter, gap5):
-        assert mst_cost(tight_quarter, Coalition.grand(3)) == 1
-        assert mst_cost(gap5, Coalition.grand(3)) == 0
+        assert MstGame(tight_quarter).cost(Coalition.grand(3)) == 1
+        assert MstGame(gap5).cost(Coalition.grand(3)) == 0
 
     def test_empty(self, tight_quarter):
-        assert mst_cost(tight_quarter, Coalition.empty(3)) == 0
+        assert MstGame(tight_quarter).cost(Coalition.empty(3)) == 0
 
     def test_prim_tree_is_the_cheap_path(self, tight_quarter):
         total, order, edges = tight_quarter.prim([1, 2, 3])
@@ -78,12 +75,12 @@ class TestMstCost:
 
 class TestMonotonized:
     def test_steiner_node_flattens_costs(self, steiner):
-        assert monotonized_cost(steiner, Coalition.from_members([2, 3], 3)) == 1
-        assert monotonized_cost(steiner, Coalition.singleton(1, 3)) == 1
+        assert MstGame(steiner, monotonized=True).cost(Coalition.from_members([2, 3], 3)) == 1
+        assert MstGame(steiner, monotonized=True).cost(Coalition.singleton(1, 3)) == 1
 
     def test_grand_coalition_unchanged(self, steiner, gap5):
         for g in (steiner, gap5):
-            assert monotonized_cost(g, Coalition.grand(g.n)) == g.coalition_cost(
+            assert MstGame(g, monotonized=True).cost(Coalition.grand(g.n)) == g.coalition_cost(
                 (1 << g.n) - 1
             )
 
@@ -113,7 +110,7 @@ class TestGranotHuberman:
         assert [str(v) for v in granot_huberman(tight_quarter)] == ["1", "0", "0"]
 
     def test_free_tree(self, gap5):
-        assert granot_huberman(gap5).total() == 0
+        assert sum(granot_huberman(gap5)) == 0
 
     def test_star_graph_charges_supplier_edges(self):
         w = [3, 1, 4, 2]
@@ -132,7 +129,7 @@ class TestGranotHuberman:
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 6), rng.choice(["uniform", "euclidean"]))
             x = granot_huberman(g)
-            assert x.total() == g.coalition_cost((1 << g.n) - 1)
+            assert sum(x) == g.coalition_cost((1 << g.n) - 1)
             bar = g.monotonized_table()
             sums = subset_sums(list(x))
             for bits in range(1, 1 << g.n):
@@ -164,7 +161,7 @@ class TestApproximation:
 
     def test_subsidy_instance_yields_nothing(self, subsidy5):
         alloc, _ = almost_core_approx(subsidy5)
-        assert alloc.total() == 0
+        assert sum(alloc) == 0
 
     def test_steiner_instance_output_and_monotonized_violation(self, steiner):
         alloc, _ = almost_core_approx(steiner)
@@ -235,7 +232,7 @@ class TestShiftWeights:
     def test_default_shift_is_singleton_sum(self, subsidy5):
         assert subsidy5.default_shift() == 20
         shifted = shift_weights(subsidy5)
-        assert shifted.weight(1, 2) == subsidy5.weight(1, 2) + 20
+        assert shifted.weights[1][2] == subsidy5.weights[1][2] + 20
 
     def test_negative_rejected(self, subsidy5):
         with pytest.raises(ValueError):
@@ -270,7 +267,7 @@ def test_mst_games_subadditive_and_tables_match():
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 6), rng.choice(["uniform", "nearpath"]))
         assert is_subadditive(MstGame(g)).ok
-        game = explicit_from_graph(g)
+        game = ExplicitGame(g.n, g.cost_table())
         assert game.table() == g.cost_table()
 
 
@@ -362,7 +359,9 @@ def test_oracles_match_fraction_scan(graph, data):
     ]
     reference = reference_cost_table(graph)
     tables = (reference, superset_minimum(reference, n))
-    games = (MstGame(graph), MstGame(graph, monotonized=True), explicit_from_graph(graph))
+    games = (
+        MstGame(graph), MstGame(graph, monotonized=True), ExplicitGame(graph.n, graph.cost_table())
+    )
     for game, table in zip(games, (tables[0], tables[1], tables[0])):
         plain = brute_force_core_oracle(game)
         nonneg = brute_force_nonneg_core_oracle(game)

@@ -7,7 +7,6 @@ import allocore.relaxations
 from allocore.coalition import Coalition
 from allocore.errors import PreconditionError, UndefinedRatioError
 from allocore.games import (
-    Allocation,
     ExplicitGame,
     satisfies_last_monotone,
     subset_sums,
@@ -91,7 +90,7 @@ class TestCoreNonempty:
         game = MstGame(tight_quarter)
         ok, x = core_nonempty(game)
         assert ok
-        assert x.total() == game.grand_cost()
+        assert sum(x) == game.grand_cost()
         sums = subset_sums(list(x))
         for bits in range(1, 1 << 3):
             assert sums[bits] <= game.cost_bits(bits)
@@ -136,9 +135,9 @@ class TestEpsilonRelaxations:
             game = random_explicit_game(rng, rng.randint(2, 5))
             c_grand = game.grand_cost()
             eps_s, xs = least_core_eps(game)
-            assert xs.total() == c_grand
+            assert sum(xs) == c_grand
             eps_w, xw = weak_core_eps(game)
-            assert xw.total() == c_grand
+            assert sum(xw) == c_grand
             sums_s = subset_sums(list(xs))
             sums_w = subset_sums(list(xw))
             for bits in range(1, (1 << game.n) - 1):
@@ -150,7 +149,7 @@ class TestMultiplicative:
     def test_unbalanced(self, unbalanced3):
         eps, x = mult_core_eps(unbalanced3)
         assert eps == Fraction(1, 3)
-        assert x.total() == unbalanced3.grand_cost()
+        assert sum(x) == unbalanced3.grand_cost()
         sums = subset_sums(list(x))
         for bits in range(1, 7):
             assert sums[bits] <= (1 + eps) * unbalanced3.cost_bits(bits)
@@ -194,7 +193,7 @@ class TestExtendedCore:
         delta, (x, t) = extended_core_delta(unbalanced3)
         assert delta == Fraction(1, 2)
         assert all(v >= 0 for v in t)
-        assert x.total() == unbalanced3.grand_cost()
+        assert sum(x) == unbalanced3.grand_cost()
         # audit the witness against the raw program
         n = 3
         problem = LpProblem(2 * n, [0] * n + [-1] * n, [None] * n + [Fraction(0)] * n)
@@ -208,7 +207,7 @@ class TestExtendedCore:
     def test_balanced_needs_no_subsidy(self, tight_quarter):
         delta, (x, t) = extended_core_delta(MstGame(tight_quarter))
         assert delta == 0
-        assert t.total() == 0
+        assert sum(t) == 0
 
 
 class TestFullReport:
@@ -544,8 +543,8 @@ class TestRowGeneration:
     def test_two_agents(self):
         game = ExplicitGame(2, [0, 3, 4, 5])
         _assert_matches_dense(game)
-        assert almost_core_optimum(game) == (7, Allocation.of([3, 4]))
-        assert min_stable_profit(to_profit_game(game)) == (0, Allocation.of([0, 0]))
+        assert almost_core_optimum(game) == (7, (3, 4))
+        assert min_stable_profit(to_profit_game(game)) == (0, (0, 0))
 
     def test_profit_rows_are_lower_bounds(self):
         # v(S) >= 0 rows bind from below: the minimum charges each pair its value
@@ -564,7 +563,7 @@ class TestRowGeneration:
         monkeypatch.setattr(allocore.relaxations, "solve", counting)
         # additive costs: charging every singleton its cost violates no coalition
         additive = ExplicitGame(3, [0, 1, 2, 3, 4, 5, 6, 7])
-        assert almost_core_optimum(additive) == (7, Allocation.of([1, 2, 4]))
+        assert almost_core_optimum(additive) == (7, (1, 2, 4))
         assert solves == [3]
         solves.clear()
         # every pair costs 1: the singleton optimum violates all three pair rows
