@@ -37,12 +37,10 @@ from .relaxations import (
     RelaxationReport,
     SeparationResult,
     almost_core_optimum,
-    almost_core_problem,
     brute_force_core_oracle,
     brute_force_nonneg_core_oracle,
     core_nonempty,
     core_optimum,
-    core_problem,
     cost_of_stability,
     extended_core_delta,
     full_report,
@@ -75,12 +73,10 @@ __all__ = [
     "VerifyResult",
     "almost_core_approx",
     "almost_core_optimum",
-    "almost_core_problem",
     "brute_force_core_oracle",
     "brute_force_nonneg_core_oracle",
     "core_nonempty",
     "core_optimum",
-    "core_problem",
     "cost_of_stability",
     "extended_core_delta",
     "full_report",

@@ -33,36 +33,8 @@ class Coalition:
             bits |= 1 << (agent - 1)
         return cls(bits, n)
 
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(0, n)
-
-    @classmethod
-    def grand(cls, n: int) -> "Coalition":
-        return cls((1 << n) - 1, n)
-
-    @classmethod
-    def singleton(cls, agent: int, n: int) -> "Coalition":
-        return cls.from_members([agent], n)
-
     def members(self) -> tuple[int, ...]:
         return bits_members(self.bits)
-
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def is_grand(self) -> bool:
-        return self.bits == (1 << self.n) - 1
-
-    def is_proper(self) -> bool:
-        """Nonempty and strictly smaller than the grand coalition."""
-        return self.bits != 0 and self.bits != (1 << self.n) - 1
-
-    def __contains__(self, agent: int) -> bool:
-        return 1 <= agent <= self.n and bool((self.bits >> (agent - 1)) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
 
     def key(self) -> str:
         """Canonical comma-separated member list, e.g. "1,3". Empty set -> ""."""

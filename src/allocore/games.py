@@ -78,12 +78,8 @@ class Game:
             )
         return self.cost_bits(coalition.bits)
 
-    @property
-    def grand_bits(self) -> int:
-        return (1 << self.n) - 1
-
     def grand_cost(self) -> Fraction:
-        return self.cost_bits(self.grand_bits)
+        return self.cost_bits((1 << self.n) - 1)
 
     def singleton_costs(self) -> tuple[Fraction, ...]:
         return tuple(self.cost_bits(1 << i) for i in range(self.n))

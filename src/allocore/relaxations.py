@@ -21,18 +21,19 @@ identity before returning.
 
 Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
-(``_solve_coalitions``). The working set starts from the n singleton rows,
-plus the grand-coalition row where the program has one; these bound every
-program. After each exact solve, one scan of all coalitions on integers
-(the point and the cost table over one common denominator, x(S) from one
-subset-sum pass, the eps or subsidy term as integers too) finds the
-violated rows, and the n most violated, ties to the smaller bitmask, join
-the working set. When the scan finds none, the working-set optimum is
-feasible for the full program and at least its optimum (the working set
-is a relaxation), so it is the exact optimum. On three random
-rational-model spanning-tree games per size, the nonnegative almost-core
-program took 4 to 8 rounds and ended with 36 to 56 of its 510 rows at
-n = 9, 53 to 72 of 4094 at n = 12 and 45 to 112 of 16382 at n = 14.
+(``_solve_coalitions``, the one builder of coalition rows). The working
+set starts from the n singleton rows, plus the grand-coalition row where
+the program has one; these bound every program. After each exact solve,
+one scan of all coalitions on integers (the point and the cost table
+over one common denominator, x(S) from one subset-sum pass, the eps or
+subsidy term as integers too) finds the violated rows, and the n most
+violated, ties to the smaller bitmask, join the working set. When the
+scan finds none, the working-set optimum is feasible for the full
+program and at least its optimum (the working set is a relaxation), so
+it is the exact optimum. On three random rational-model spanning-tree
+games per size, the nonnegative almost-core program took 4 to 8 rounds
+and ended with 36 to 56 of its 510 rows at n = 9, 53 to 72 of 4094 at
+n = 12 and 45 to 112 of 16382 at n = 14.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coalition import Coalition, bits_members
 from .errors import PreconditionError, UndefinedRatioError
@@ -87,58 +88,34 @@ class _Extra(NamedTuple):
     values: Callable[[Sequence[int]], list[int]]  # P * y -> P * (y-part of row S), every bitmask S
 
 
-def _add_rows(
-    problem: LpProblem, game: Game, coalitions: Iterable[int], relation: str, extra: _Extra | None
-) -> None:
-    """Append the row x(S) + extra(S) . y (relation) c(S) for each bitmask S."""
-    for bits in coalitions:
-        row = _indicator(bits)
-        if extra is not None:
-            row.update(extra.row(bits))
-        problem.add(row, relation, game.cost_bits(bits))
-
-
-def _coalition_program(
-    game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, relation: str = "<=", extra: _Extra | None = None, grand: str | None = None,
-    coalitions: Iterable[int] | None = None,
-) -> LpProblem:
-    """Rows x(S) + extra(S) . y (relation) c(S) for the given coalitions S.
-
-    x are the first n variables and y the rest. ``coalitions`` defaults to
-    every proper coalition in ascending bitmask order; a last row
-    x(N) (grand) c(N) is added when ``grand`` names a relation.
-    """
-    check_enum_limit(game.n, f"building {what}")
-    n = game.n
-    problem = LpProblem(len(objective), objective, bounds)
-    if extra is None and problem.num_vars != n:
-        raise ValueError("objective length does not match the game")
-    if coalitions is None:
-        coalitions = range(1, (1 << n) - 1)
-    _add_rows(problem, game, coalitions, relation, extra)
-    if grand is not None:
-        problem.add(_indicator((1 << n) - 1), grand, game.grand_cost())
-    return problem
-
-
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
     what: str, relation: str = "<=", extra: _Extra | None = None, grand: str | None = None,
 ) -> LpSolution:
-    """The optimum of :func:`_coalition_program` over every proper coalition,
-    by row generation (see the module docstring).
+    """The optimum of max objective . (x, y) subject to x(S) + extra(S) . y
+    (relation) c(S) for every proper coalition S, plus x(N) (grand) c(N) when
+    ``grand`` names a relation; x are the first n variables and y the rest.
 
-    Every program here is feasible and its seed rows bound it, so a working
-    set that does not solve to OPTIMAL is a bug and raises AssertionError.
+    Solved by row generation (see the module docstring). Every program here
+    is feasible and its seed rows bound it, so a working set that does not
+    solve to OPTIMAL is a bug and raises AssertionError.
     """
+    check_enum_limit(game.n, f"building {what}")
     n = game.n
     full = (1 << n) - 1
+    problem = LpProblem(len(objective), objective, bounds)
+
+    def add(bits: int, rel: str) -> None:
+        row = _indicator(bits)
+        if extra is not None and bits != full:
+            row.update(extra.row(bits))
+        problem.add(row, rel, game.cost_bits(bits))
+
     working = {1 << i for i in range(n)} - {full}
-    problem = _coalition_program(
-        game, objective, bounds, what=what, relation=relation, extra=extra, grand=grand,
-        coalitions=sorted(working),
-    )
+    for bits in sorted(working):
+        add(bits, relation)
+    if grand is not None:
+        add(full, grand)
     table, d = game.scaled_table()
     sign = -1 if relation == ">=" else 1
     while True:
@@ -158,25 +135,8 @@ def _solve_coalitions(
         # the verified point satisfies its rows, so a scan that disagrees would loop forever
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
-        _add_rows(problem, game, violated, relation, extra)
-
-
-def almost_core_problem(game: Game, require_nonneg: bool = False) -> LpProblem:
-    """max x(N) over all proper-coalition constraints, in ascending bitmask order.
-
-    The dense program, for checking points; the solvers generate rows.
-    """
-    n = game.n
-    bounds = [_ZERO] * n if require_nonneg else None
-    return _coalition_program(game, [_ONE] * n, bounds, what="the almost-core program")
-
-
-def core_problem(game: Game, objective: Sequence[object]) -> LpProblem:
-    """Optimize over stability constraints for every nonempty coalition, N included.
-
-    The dense program, for checking points; the solvers generate rows.
-    """
-    return _coalition_program(game, objective, what="the core program", grand="<=")
+        for bits in violated:
+            add(bits, relation)
 
 
 def almost_core_optimum(
@@ -512,7 +472,7 @@ def _lift(
             lowered = shares[:k] + (ceiling,) + shares[k + 1 :]
         result = core_sep(lowered)
         if not result.member:
-            if result.coalition is None or result.coalition.is_grand():
+            if result.coalition is None or result.coalition.bits == (1 << n) - 1:
                 raise PreconditionError(
                     "core oracle failed: no proper coalition reported for a query "
                     "point with total at most c(N)"

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch against the
 definitions (Gaussian elimination, vertex enumeration, direct membership
-scans) so that it shares no code path with the solver it audits.
+scans, the dense coalition programs) so that it shares no code path with
+the solver it audits.
 """
 
 from __future__ import annotations
@@ -116,6 +117,35 @@ def almost_core_rows(game):
         rows.append([Fraction(int(bool(bits >> i & 1))) for i in range(n)])
         rhs.append(game.cost_bits(bits))
     return rows, rhs
+
+
+def dense_coalition_program(game, objective, bounds=None, relation="<=", extra=None, grand=None):
+    """max objective . (x, y) subject to x(S) + extra(S) . y (relation) c(S)
+    for every proper coalition S in ascending bitmask order, then the row
+    x(N) (grand) c(N) when ``grand`` names a relation.
+
+    x are the first n variables and y the rest; ``extra`` maps a bitmask to
+    its row's {y variable: coefficient}. This is the full program that the
+    library's row generation must solve to the same optimum.
+    """
+    from allocore.lp import LpProblem
+
+    n = game.n
+    problem = LpProblem(len(objective), objective, bounds)
+    for bits in range(1, (1 << n) - 1):
+        row = {i: 1 for i in range(n) if bits >> i & 1}
+        if extra is not None:
+            row.update(extra(bits))
+        problem.add(row, relation, game.cost_bits(bits))
+    if grand is not None:
+        problem.add(dict.fromkeys(range(n), 1), grand, game.cost_bits((1 << n) - 1))
+    return problem
+
+
+def almost_core_problem(game, require_nonneg=False):
+    """max x(N) over every proper-coalition constraint (and x >= 0 if asked)."""
+    n = game.n
+    return dense_coalition_program(game, [1] * n, [0] * n if require_nonneg else None)
 
 
 def superset_min_cost(graph, bits) -> Fraction:

@@ -24,7 +24,6 @@ from allocore.generators import (
 from allocore.mstgame import MstGame, almost_core_approx, shift_weights
 from allocore.relaxations import (
     almost_core_optimum,
-    almost_core_problem,
     brute_force_core_oracle,
     brute_force_nonneg_core_oracle,
     full_report,
@@ -38,6 +37,7 @@ from allocore.lp import verify_point
 from _oracles import (
     almost_core_member,
     almost_core_nonneg_member,
+    almost_core_problem,
     almost_core_rows,
     coalition_sum,
     polyhedron_max,
@@ -215,7 +215,7 @@ def test_criterion_7_separation_equivalence():
                 members += 1
             else:
                 non_members += 1
-                assert res.coalition.is_proper()
+                assert 0 < res.coalition.bits < (1 << n) - 1
                 violated = sum(point[i - 1] for i in res.coalition.members())
                 assert violated - game.cost(res.coalition) == res.amount > 0
         for trial in range(400):

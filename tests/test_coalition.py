@@ -12,7 +12,6 @@ def test_from_members_round_trip():
     assert c.members() == (1, 3)
     assert c.key() == "1,3"
     assert str(c) == "{1,3}"
-    assert 1 in c and 3 in c and 2 not in c
 
 
 def test_bounds_checked():
@@ -24,12 +23,6 @@ def test_bounds_checked():
         Coalition.from_members([4], 3)
     with pytest.raises(ValueError):
         Coalition.from_members([0], 3)
-
-
-def test_proper_predicate():
-    assert not Coalition.empty(3).is_proper()
-    assert not Coalition.grand(3).is_proper()
-    assert Coalition.singleton(2, 3).is_proper()
 
 
 def test_submasks_ascending_enumerates_exactly_once():
@@ -50,5 +43,4 @@ def test_submasks_match_filter(mask):
 def test_members_bits_bijection(members, n):
     c = Coalition.from_members(members, n)
     assert set(c.members()) == members
-    assert c.size() == len(members)
     assert bits_members(c.bits) == c.members() == tuple(sorted(members))

@@ -86,6 +86,12 @@ def test_golden(case):
     assert run(CASES[case]) == expected
 
 
+def test_golden_files_are_exactly_the_cases():
+    # a stale or renamed file in tests/golden/ would otherwise go unchecked
+    assert sorted(path.stem for path in GOLDEN.glob("*.json")) == sorted(CASES)
+    assert len(CASES) == 53
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():

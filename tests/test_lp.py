@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from allocore.lp import LpProblem, LpStatus, VerifyResult, _Tableau, solve, verify_point
 from allocore.mstgame import MstGame
-from allocore.relaxations import almost_core_problem
 
 from _oracles import (
+    almost_core_problem,
     dual_of_canonical,
     polyhedron_max,
     rational_row,

@@ -23,7 +23,6 @@ from allocore.lp import LpProblem, LpStatus, solve, verify_point
 from allocore.mstgame import MstGame
 from allocore.relaxations import (
     almost_core_optimum,
-    almost_core_problem,
     brute_force_core_oracle,
     brute_force_nonneg_core_oracle,
     core_nonempty,
@@ -40,7 +39,12 @@ from allocore.relaxations import (
     weak_core_eps,
 )
 
-from _oracles import almost_core_member, almost_core_nonneg_member
+from _oracles import (
+    almost_core_member,
+    almost_core_nonneg_member,
+    almost_core_problem,
+    dense_coalition_program,
+)
 
 
 class TestAlmostCoreOptimum:
@@ -444,7 +448,7 @@ class TestSeparation:
             assert res.member == almost_core_member(game, point)
             if not res.member:
                 violated = sum(point[i - 1] for i in res.coalition.members())
-                assert res.coalition.is_proper()
+                assert 0 < res.coalition.bits < (1 << n) - 1
                 assert violated - game.cost(res.coalition) == res.amount > 0
 
     def test_nonneg_agreement_with_brute_force(self):
@@ -463,7 +467,7 @@ class TestSeparation:
                 assert point[res.negative_agent - 1] == -res.amount < 0
             else:
                 violated = sum(point[i - 1] for i in res.coalition.members())
-                assert res.coalition.is_proper()
+                assert 0 < res.coalition.bits < (1 << n) - 1
                 assert violated - game.cost(res.coalition) == res.amount > 0
 
 
@@ -471,15 +475,13 @@ def _dense_programs(game):
     """Each coalition program as (dense problem over every proper coalition,
     the row-generation optimum in the problem's max form, its full point)."""
     n = game.n
-    one, zero = Fraction(1), Fraction(0)
-    members = allocore.relaxations._indicator
-    extra = allocore.relaxations._Extra
-    dense = allocore.relaxations._coalition_program
 
     def epsilon(weight, solver):
         eps, x = solver(game)
-        problem = dense(game, [zero] * n + [-one], [None] * n + [zero], what="eps",
-                        extra=extra(lambda bits: {n: -weight(bits.bit_count())}, None), grand="==")
+        problem = dense_coalition_program(
+            game, [0] * n + [-1], [None] * n + [0],
+            extra=lambda bits: {n: -weight(bits.bit_count())}, grand="==",
+        )
         return problem, -eps, (*x, eps)
 
     core = core_optimum(game, [1] * n)
@@ -487,16 +489,18 @@ def _dense_programs(game):
     profit_game = to_profit_game(game)
     profit, px = min_stable_profit(profit_game)
     cases = {
-        "core": (dense(game, [one] * n, what="core", grand="<="), core.value, core.point),
+        "core": (dense_coalition_program(game, [1] * n, grand="<="), core.value, core.point),
         "subsidy": (
-            dense(game, [zero] * n + [-one] * n, [None] * n + [zero] * n, what="subsidy",
-                  extra=extra(lambda bits: members(bits, n, -one), None), grand="=="),
+            dense_coalition_program(
+                game, [0] * n + [-1] * n, [None] * n + [0] * n,
+                extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand="==",
+            ),
             -subsidy, (*sx, *st),
         ),
         "least-core": epsilon(lambda size: 1, least_core_eps),
         "weak-core": epsilon(lambda size: size, weak_core_eps),
         "stable-profit": (
-            dense(profit_game, [-one] * n, what="profit", relation=">="), -profit, tuple(px)
+            dense_coalition_program(profit_game, [-1] * n, relation=">="), -profit, tuple(px)
         ),
     }
     for nonneg in (False, True):
