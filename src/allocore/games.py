@@ -50,16 +50,15 @@ def over_common_denominator(values: Sequence[Fraction], base: int = 1) -> tuple[
 
 
 def subset_sums(shares: Sequence) -> list:
-    """x(S) for every bitmask S, via the one-lower-bit recurrence.
+    """x(S) for every bitmask S, by doubling: share i adds itself to every
+    sum so far, which fills the bitmasks with bit i set.
 
     Starts from the int 0, so integer shares give integer sums and
     Fraction shares give Fraction sums (the empty set's entry stays 0).
     """
-    n = len(shares)
-    sums = [0] * (1 << n)
-    for bits in range(1, 1 << n):
-        low = bits & -bits
-        sums[bits] = sums[bits ^ low] + shares[low.bit_length() - 1]
+    sums = [0]
+    for x in shares:
+        sums += [s + x for s in sums]
     return sums
 
 

@@ -14,10 +14,19 @@ subsidies.
 
 A ``GraphInstance`` keeps its weights as integers over one common
 denominator D, the lcm of the weight denominators. Prim's algorithm, the
-cost cache, the monotonization sweep and the 2-approximation compare and
+cost table, the monotonization sweep and the 2-approximation compare and
 add those integers; scaling by D > 0 keeps every comparison, so tie-breaks
 and trees are those of the rational weights. ``Fraction(value, D)`` is
 built only where a value leaves the class.
+
+Two paths compute costs. Prim (``GraphInstance._tree``) serves trees,
+insertion orders, the one-tree allocation, the 2-approximation and single
+coalition lookups at any n. The full 2^n table (n <= 16) comes from one
+integer subset recurrence that removes an MST leaf,
+c(S) = min over v in S of c(S - v) + near_v(S - v), with near_v(X) the
+cheapest edge from v into {0} + X (see :func:`_leaf_removal_table`). The
+table is built once per graph; every later lookup, the monotonization
+sweep and ``MstGame.scaled_table`` read it.
 """
 
 from __future__ import annotations
@@ -41,7 +50,9 @@ class GraphInstance:
     """A complete weighted graph on nodes {0, 1, ..., n}; node 0 is the supplier.
 
     Weights are symmetric nonnegative rationals. Instances are immutable
-    after construction; coalition costs are memoized internally.
+    after construction. A coalition cost is one Prim run, memoized, until
+    the full cost table is built (by leaf removal, once); from then on
+    every cost is read from that table.
     ``weights`` holds the rationals as given; the computations run on
     ``denominator`` (D) times them, which are integers, and every cost is
     handed back as a Fraction over D.
@@ -70,6 +81,7 @@ class GraphInstance:
         flat, self.denominator = over_common_denominator([v for row in w for v in row])
         self._w = tuple(tuple(flat[k:k + n + 1]) for k in range(0, len(flat), n + 1))
         self._cost_cache: dict[int, int] = {0: 0}
+        self._table: tuple[int, ...] | None = None
         self._monotone_table: tuple[int, ...] | None = None
 
     @classmethod
@@ -161,7 +173,10 @@ class GraphInstance:
         return Fraction(total, self.denominator), order, edges
 
     def _cost(self, bits: int) -> int:
-        """D times the coalition's spanning-tree cost, memoized."""
+        """D times the coalition's spanning-tree cost: read from the table
+        once it exists, otherwise one memoized Prim run."""
+        if self._table is not None:
+            return self._table[bits]
         cached = self._cost_cache.get(bits)
         if cached is None:
             cached = self._tree(bits_members(bits))[0]
@@ -172,10 +187,12 @@ class GraphInstance:
         """MST cost of the subgraph induced by the coalition plus the supplier."""
         return Fraction(self._cost(bits), self.denominator)
 
-    def _scaled_cost_table(self) -> list[int]:
-        check_enum_limit(self.n, "materializing the spanning-tree cost table")
-        cost = self._cost
-        return [cost(bits) for bits in range(1 << self.n)]
+    def _scaled_cost_table(self) -> tuple[int, ...]:
+        """D times the cost of every coalition, indexed by bitmask; built once."""
+        if self._table is None:
+            check_enum_limit(self.n, "materializing the spanning-tree cost table")
+            self._table = _leaf_removal_table(self._w, self.n)
+        return self._table
 
     def cost_table(self) -> tuple[Fraction, ...]:
         d = self.denominator
@@ -185,7 +202,7 @@ class GraphInstance:
         """D times the min over supersets of the cost table, via one sweep per agent."""
         if self._monotone_table is None:
             check_enum_limit(self.n, "monotonizing the cost table")
-            bar = self._scaled_cost_table()
+            bar = list(self._scaled_cost_table())
             for i in range(self.n):
                 bit = 1 << i
                 for bits in range(1 << self.n):
@@ -202,6 +219,47 @@ class GraphInstance:
     def default_shift(self) -> Fraction:
         """Sum of the supplier edge weights (the singleton costs)."""
         return Fraction(sum(self._w[0][1:]), self.denominator)
+
+
+def _leaf_removal_table(w: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
+    """Spanning-tree cost of every coalition on the integer weights ``w``,
+    by c(S) = min over v in S of c(S - v) + near_v(S - v), where near_v(X)
+    is v's cheapest edge into {0} + X.
+
+    Every term is at least c(S): attaching v to its nearest vertex in an MST
+    of (S - v) + {0} spans S + {0}. Some term equals c(S): an MST of
+    S + {0} has at least two leaves, so some v in S is a leaf; removing it
+    leaves a spanning tree of (S - v) + {0}, which weighs at least
+    c(S - v), and its leaf edge weighs at least near_v(S - v). Only totals
+    come out, so tie-breaks cannot matter.
+    """
+    # near[i][X] for agent i + 1, by doubling over the agents of X; entries
+    # whose X holds the agent itself read the zero diagonal and are never used
+    near = []
+    for v in range(1, n + 1):
+        row = w[v]
+        table = [row[0]]
+        for u in range(1, n + 1):
+            c = row[u]
+            table += [a if a < c else c for a in table]
+        near.append(table)
+    cost = [0] * (1 << n)
+    members = [()]  # members[x]: (bit, near table) of each agent in x
+    for i in range(n):
+        top = 1 << i
+        near_top = near[i]
+        for x in range(top):  # S = top | x, its highest agent is i + 1
+            s = top | x
+            best = cost[x] + near_top[x]
+            for bit, near_v in members[x]:
+                c = cost[s ^ bit] + near_v[s ^ bit]
+                if c < best:
+                    best = c
+            cost[s] = best
+        if i < n - 1:  # the last agent's doubling would go unread
+            pair = (top, near_top)
+            members += [m + (pair,) for m in members]
+    return tuple(cost)
 
 
 class MstGame(Game):

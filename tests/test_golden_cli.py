@@ -60,6 +60,9 @@ def _cases() -> dict[str, list[str]]:
         "separate", "instances/empty_core.json", "--point=1,1,0", "--decimal"
     ]
     cases["bench-seed7"] = ["bench", "--seed", "7", "--count", "200", "--n", "3-8"]
+    # The exact optimum at the enumeration limit (n = 16): the full 2^16 cost
+    # table and row generation over it; random_graph(Random(5), 16, "rational").
+    cases["mst-approx-random16_rational"] = ["mst", "instances/random16_rational.json", "approx"]
     return cases
 
 
@@ -89,7 +92,7 @@ def test_golden(case):
 def test_golden_files_are_exactly_the_cases():
     # a stale or renamed file in tests/golden/ would otherwise go unchecked
     assert sorted(path.stem for path in GOLDEN.glob("*.json")) == sorted(CASES)
-    assert len(CASES) == 53
+    assert len(CASES) == 54
 
 
 def record() -> None:

@@ -280,20 +280,22 @@ def test_enumeration_limit_on_tables():
 # --- the integer kernel against the Fraction reference --------------------------
 
 
+# weights of the "ties" and "mixed" graphs besides the four weight models
+WEIGHT_VALUES = {
+    "ties": [0, 1, 2],
+    "mixed": [Fraction(1, 3), Fraction(5, 7), Fraction(11, 13), Fraction(4, 3), 0, 2],
+}
+
+
 @st.composite
 def graphs(draw):
     """n = 1..7 on the four weight models, on weights in {0, 1, 2} (many
     ties), or on mixed denominators such as 1/3, 5/7 and 11/13."""
     n = draw(st.integers(1, 7))
-    kind = draw(st.sampled_from(WEIGHT_MODELS + ("ties", "mixed")))
+    kind = draw(st.sampled_from(WEIGHT_MODELS + tuple(WEIGHT_VALUES)))
     if kind in WEIGHT_MODELS:
         return random_graph(Random(draw(st.integers(0, 2**32))), n, kind)
-    if kind == "ties":
-        values = st.sampled_from([0, 1, 2])
-    else:
-        values = st.sampled_from(
-            [Fraction(1, 3), Fraction(5, 7), Fraction(11, 13), Fraction(4, 3), 0, 2]
-        )
+    values = st.sampled_from(WEIGHT_VALUES[kind])
     w = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -335,6 +337,38 @@ def test_tables_match_reference_prim(graph):
     assert graph.monotonized_table() == tuple(superset_minimum(reference, graph.n))
     assert all(isinstance(v, Fraction) for v in graph.monotonized_table())
     assert MstGame(graph, monotonized=True).table() == graph.monotonized_table()
+
+
+def fixed_graph(kind, n, seed):
+    """A seeded graph of one weight model, or of ties or mixed denominators
+    (the value sets of ``graphs``), at sizes the strategy does not reach."""
+    rng = Random(seed)
+    if kind in WEIGHT_MODELS:
+        return random_graph(rng, n, kind)
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            w[i][j] = w[j][i] = rng.choice(WEIGHT_VALUES[kind])
+    return GraphInstance(n, w)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("uniform", 8), ("rational", 9), ("euclidean", 10), ("nearpath", 11), ("ties", 12), ("mixed", 12)],
+)
+def test_leaf_removal_table_at_larger_n(kind, n):
+    graph = fixed_graph(kind, n, seed=n)
+    # single lookups run Prim until the table exists, and read it afterwards
+    before = [graph.coalition_cost(bits) for bits in range(1 << n)]
+    table = graph.cost_table()
+    assert table == tuple(reference_cost_table(graph)) == tuple(before)
+    assert [graph.coalition_cost(bits) for bits in range(1 << n)] == before
+    # the monotonization sweep works on a copy of the stored table
+    mono = graph.monotonized_table()
+    assert graph.cost_table() == table
+    assert mono[-1] == table[-1] and all(m <= c for m, c in zip(mono, table))
+    d = graph.denominator
+    assert MstGame(graph).scaled_table() == (tuple(v * d for v in before), d)
 
 
 def expected_separation(scan, n):
