@@ -99,14 +99,14 @@ class ExplicitGame(Game):
 
     def __init__(self, n: int, costs: Sequence[object], *, require_nonnegative: bool = True):
         check_enum_limit(n, "an explicit cost table")
-        table = tuple(as_rational(v) for v in costs)
+        table = tuple(map(as_rational, costs))
         if len(table) != 1 << n:
             raise ValueError(f"cost table must have 2^{n} = {1 << n} entries, got {len(table)}")
         if table[0] != 0:
             raise ValueError("c(empty coalition) must be 0")
         if require_nonnegative:
             for bits, value in enumerate(table):
-                if value < 0:
+                if value.numerator < 0:
                     raise ValueError(f"cost of coalition mask {bits} is negative: {value}")
         self.n = n
         self._table = table

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coalition import bits_members
 from .errors import InstanceParseError, PreconditionError
 from .games import ENUM_LIMIT, ExplicitGame, Game, as_rational
 from .mstgame import GraphInstance, MstGame
@@ -83,14 +82,23 @@ def _parse_coalition_key(key: str, n: int) -> int:
     return bits
 
 
+def _coalition_keys(n: int) -> list[str]:
+    """The canonical key of every coalition over n agents, indexed by
+    bitmask ("" for the empty one), by doubling over the agents."""
+    keys = [""]
+    for agent in map(str, range(1, n + 1)):
+        keys += [k + "," + agent if k else agent for k in keys]
+    return keys
+
+
 def _reject_duplicate_pairs(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise InstanceParseError(f"duplicate key {key!r}")
-        seen.add(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # some key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InstanceParseError(f"duplicate key {key!r}")
+            seen.add(key)
     return out
 
 
@@ -121,12 +129,25 @@ def parse(text: str) -> InstanceFile:
         default = None
         if "default" in data:
             default = _parse_rational(data["default"], "default")
+        keys = _coalition_keys(n)
+        canonical = dict(zip(keys[1:], range(1, len(keys))))
+        # one Fraction per distinct cost string; only strings are memoized,
+        # since 1 == 1.0 == True hash alike and a float or bool must still fail
+        rationals: dict[str, Fraction] = {}
         costs: dict[int, Fraction] = {}
         for key, value in raw.items():
-            bits = _parse_coalition_key(key, n)
+            bits = canonical.get(key)
+            if bits is None:  # not canonical: the general parser accepts or rejects it
+                bits = _parse_coalition_key(key, n)
             if bits in costs:
                 raise InstanceParseError(f"coalition {key!r} is listed twice")
-            costs[bits] = _parse_rational(value, f"cost of {key!r}")
+            if type(value) is str:
+                cost = rationals.get(value)
+                if cost is None:
+                    cost = rationals[value] = _parse_rational(value, f"cost of {key!r}")
+            else:
+                cost = _parse_rational(value, f"cost of {key!r}")
+            costs[bits] = cost
         if default is None:
             missing = (1 << n) - 1 - len(costs)
             if missing:
@@ -176,17 +197,17 @@ def load(path: str) -> InstanceFile:
 def serialize(instance: InstanceFile) -> str:
     """Normalized JSON text, one coalition or edge per line; parse(serialize(x)) == x."""
     lines = ["{", f'  "format": {json.dumps(instance.format)},', f'  "n": {instance.n},']
+    # keys hold only digits and commas, and str() of a rational only digits,
+    # "-" and "/", so quoting them by hand gives json.dumps's bytes
     if instance.format == EXPLICIT:
-        entries = []
-        for bits, value in instance.costs:
-            key = ",".join(map(str, bits_members(bits)))
-            entries.append(f"    {json.dumps(key)}: {json.dumps(str(value))}")
+        keys = _coalition_keys(instance.n)
+        entries = [f'    "{keys[bits]}": "{value}"' for bits, value in instance.costs]
         body = '  "costs": {\n' + ",\n".join(entries) + "\n  }"
         if instance.default is not None:
-            body += f',\n  "default": {json.dumps(str(instance.default))}'
+            body += f',\n  "default": "{instance.default}"'
         lines.append(body)
     else:
-        entries = [f"    [{i}, {j}, {json.dumps(str(w))}]" for i, j, w in instance.edges]
+        entries = [f'    [{i}, {j}, "{w}"]' for i, j, w in instance.edges]
         lines.append('  "edges": [\n' + ",\n".join(entries) + "\n  ]")
     return "\n".join(lines) + "\n}\n"
 
@@ -201,12 +222,11 @@ def to_game(instance: InstanceFile, monotonize: bool = False) -> Game:
     if instance.format == EXPLICIT:
         if monotonize:
             raise PreconditionError("--monotonize applies to mst instances only")
-        table = [Fraction(0)] * (1 << instance.n)
         listed = dict(instance.costs)
-        for bits in range(1, 1 << instance.n):
-            value = listed.get(bits, instance.default)
-            # parse() guarantees completeness when there is no default
-            table[bits] = value
+        default = instance.default
+        # parse() guarantees completeness when there is no default
+        table = [listed.get(bits, default) for bits in range(1 << instance.n)]
+        table[0] = Fraction(0)
         return ExplicitGame(instance.n, table)
     return MstGame(to_graph(instance), monotonized=monotonize)
 

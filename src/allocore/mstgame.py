@@ -194,27 +194,37 @@ class GraphInstance:
             self._table = _leaf_removal_table(self._w, self.n)
         return self._table
 
-    def cost_table(self) -> tuple[Fraction, ...]:
+    def _fractions(self, scaled: Sequence[int]) -> tuple[Fraction, ...]:
+        """The scaled table over D, with one Fraction per distinct value."""
         d = self.denominator
-        return tuple(Fraction(v, d) for v in self._scaled_cost_table())
+        exact = {v: Fraction(v, d) for v in set(scaled)}
+        return tuple(map(exact.__getitem__, scaled))
+
+    def cost_table(self) -> tuple[Fraction, ...]:
+        return self._fractions(self._scaled_cost_table())
 
     def _scaled_monotonized_table(self) -> tuple[int, ...]:
-        """D times the min over supersets of the cost table, via one sweep per agent."""
+        """D times the min over supersets of the cost table.
+
+        Each of n rounds takes the pairwise min of the two halves, which
+        handles the top agent, then interleaves the halves, which rotates
+        the bit order so the next agent is on top; after n rounds every
+        agent has been handled and the bit order is back where it started.
+        """
         if self._monotone_table is None:
             check_enum_limit(self.n, "monotonizing the cost table")
             bar = list(self._scaled_cost_table())
-            for i in range(self.n):
-                bit = 1 << i
-                for bits in range(1 << self.n):
-                    if not bits & bit and bar[bits | bit] < bar[bits]:
-                        bar[bits] = bar[bits | bit]
+            half = len(bar) // 2
+            for _ in range(self.n):
+                hi = bar[half:]
+                bar[0::2] = [a if a < b else b for a, b in zip(bar[:half], hi)]
+                bar[1::2] = hi
             self._monotone_table = tuple(bar)
         return self._monotone_table
 
     def monotonized_table(self) -> tuple[Fraction, ...]:
         """min over supersets of the cost table."""
-        d = self.denominator
-        return tuple(Fraction(v, d) for v in self._scaled_monotonized_table())
+        return self._fractions(self._scaled_monotonized_table())
 
     def default_shift(self) -> Fraction:
         """Sum of the supplier edge weights (the singleton costs)."""

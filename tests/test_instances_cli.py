@@ -8,8 +8,9 @@ import pytest
 
 from allocore import instances
 from allocore.cli import main
+from allocore.coalition import bits_members
 from allocore.errors import InstanceParseError, PreconditionError
-from allocore.games import ExplicitGame
+from allocore.games import ENUM_LIMIT, ExplicitGame
 from allocore.generators import random_graph
 from allocore.instances import (
     InstanceFile,
@@ -110,6 +111,60 @@ class TestParsing:
             to_game(parse(EXPLICIT_TEXT), monotonize=True)
 
 
+def explicit_text(costs: dict, n: int = 3) -> str:
+    return json.dumps({"format": "explicit", "n": n, "costs": costs})
+
+
+CANONICAL3 = {"1": "1", "2": "1", "1,2": "1", "3": "1", "1,3": "1", "2,3": "1", "1,2,3": "2"}
+
+
+class TestParsingOffTheCanonicalForms:
+    """Keys and values that are not in serialize's form take the general path."""
+
+    def test_non_canonical_keys_name_the_same_coalitions(self):
+        renamed = {"1": "001", "1,3": "01,3", "2,3": "2,03", "1,2,3": "1,02,3"}
+        costs = {renamed.get(key, key): value for key, value in CANONICAL3.items()}
+        assert parse(explicit_text(costs)) == parse(explicit_text(CANONICAL3))
+
+    def test_non_canonical_key_listed_twice(self):
+        text = explicit_text({**CANONICAL3, "1,03": "1"})
+        with pytest.raises(InstanceParseError, match=r"coalition '1,03' is listed twice"):
+            parse(text)
+
+    def test_non_canonical_rationals_give_equal_fractions(self):
+        costs = {**CANONICAL3, "1": "2/4", "2": "0.75", "3": "+3", "1,2": "-0", "2,3": "1/2"}
+        inst = parse(explicit_text(costs))
+        values = dict(inst.costs)
+        assert values[0b001] == values[0b110] == Fraction(1, 2)
+        assert values[0b010] == Fraction(3, 4)
+        assert values[0b100] == 3
+        assert values[0b011] == 0
+        assert all(type(v) is Fraction for v in values.values())
+        assert to_game(inst).cost_bits(0b011) == 0
+
+    @pytest.mark.parametrize("number", [1.0, True])
+    def test_float_or_bool_after_the_same_string_and_int_is_rejected(self, number):
+        # 1 == 1.0 == True: a memo keyed on any value would accept the later ones
+        costs = {"3": "1", **CANONICAL3, "1": 1, "2": number, "2,3": number}
+        assert list(costs)[:3] == ["3", "1", "2"]
+        with pytest.raises(InstanceParseError, match=r"cost of '2': values must be integers"):
+            parse(explicit_text(costs))
+
+    def test_int_after_the_same_string_is_accepted(self):
+        text = explicit_text(CANONICAL3).replace('"2": "1"', '"2": 1')
+        assert parse(text) == parse(explicit_text(CANONICAL3))
+
+    def test_bad_rational_named_at_its_first_key(self):
+        text = explicit_text({**CANONICAL3, "2": "1/0", "2,3": "1/0"})
+        with pytest.raises(InstanceParseError, match=r"cost of '2': bad rational '1/0'"):
+            parse(text)
+
+    def test_duplicate_in_a_full_table_names_the_first_duplicate(self):
+        text = explicit_text(CANONICAL3)[:-2] + ', "1,3": "5", "1": "4"}}'
+        with pytest.raises(InstanceParseError, match=r"duplicate key '1,3'"):
+            parse(text)
+
+
 class TestRoundTrip:
     def test_explicit_round_trip(self):
         inst = parse(EXPLICIT_TEXT)
@@ -141,6 +196,31 @@ class TestRoundTrip:
         inst = explicit_instance_from_table(3, unbalanced3.table())
         again = to_game(parse(serialize(inst)))
         assert again.table() == unbalanced3.table()
+
+    def test_full_table_at_the_enumeration_limit(self):
+        n = ENUM_LIMIT
+        values = [Fraction(k, 3) for k in range(97)]
+        table = [values[bits % 97] for bits in range(1 << n)]
+        inst = explicit_instance_from_table(n, table)
+        text = serialize(inst)
+        assert f'    "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16": "{table[-1]}"\n' in text
+        again = parse(text)
+        assert again == inst
+        assert to_game(again).table() == tuple(table)
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_serialize_writes_the_bytes_of_json_dumps(n):
+    graph = random_graph(Random(n), n, "rational")
+    table = graph.cost_table()
+    costs = {",".join(map(str, bits_members(bits))): str(table[bits]) for bits in range(1, 1 << n)}
+    data = {"format": "explicit", "n": n, "costs": costs, "default": "1/3"}
+    inst = InstanceFile("explicit", n, explicit_instance_from_table(n, table).costs, Fraction(1, 3))
+    assert serialize(inst) == json.dumps(data, indent=2) + "\n"
+    edges = mst_instance_from_graph(graph)
+    rows = ",\n".join("    " + json.dumps([i, j, str(w)]) for i, j, w in edges.edges)
+    head = json.dumps({"format": "mst", "n": n}, indent=2)[:-2]
+    assert serialize(edges) == head + ',\n  "edges": [\n' + rows + "\n  ]\n}\n"
 
 
 @pytest.fixture

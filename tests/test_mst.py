@@ -371,6 +371,21 @@ def test_leaf_removal_table_at_larger_n(kind, n):
     assert MstGame(graph).scaled_table() == (tuple(v * d for v in before), d)
 
 
+@pytest.mark.parametrize("model", WEIGHT_MODELS)
+def test_table_exports_match_per_entry_fractions(model):
+    rng = Random(len(model))
+    for n in range(1, 10):
+        graph = random_graph(rng, n, model)
+        d = graph.denominator
+        scaled = graph._scaled_cost_table()
+        table = graph.cost_table()
+        assert table == tuple(Fraction(v, d) for v in scaled)
+        mono = graph.monotonized_table()
+        assert graph._scaled_monotonized_table() == tuple(superset_minimum(scaled, n))
+        assert mono == tuple(Fraction(v, d) for v in graph._scaled_monotonized_table())
+        assert all(type(v) is Fraction for v in table + mono)
+
+
 def expected_separation(scan, n):
     if scan[0] == "member":
         return SeparationResult(True)
