@@ -4,6 +4,8 @@ A game is a pair (N, c) of agents N = {1, ..., n} and a characteristic cost
 function c on coalitions with c(empty) = 0. Cost games are nonnegative;
 profit games produced by :func:`to_profit_game` may carry negative values.
 An allocation is a plain tuple of n Fractions, agent i's share at index i - 1.
+The brute-force checks read the whole table once, as the integers of
+:meth:`Game.scaled_table`; scaling by D > 0 keeps every comparison.
 """
 
 from __future__ import annotations
@@ -136,12 +138,12 @@ def is_subadditive(game: Game) -> PairCheck:
     """
     check_enum_limit(game.n, "the subadditivity check")
     n = game.n
-    c = game.cost_bits
+    c, _ = game.scaled_table()
     full = (1 << n) - 1
     for s in range(1, full + 1):
-        cs = c(s)
+        cs = c[s]
         for t in submasks_ascending(full ^ s):
-            if c(s | t) > cs + c(t):
+            if c[s | t] > cs + c[t]:
                 return PairCheck(False, (Coalition(s, n), Coalition(t, n)))
     return PairCheck(True, None)
 
@@ -150,9 +152,8 @@ def is_submodular(game: Game) -> PairCheck:
     """c(S) + c(T) >= c(S | T) + c(S & T) for all S, T, by full enumeration."""
     check_enum_limit(game.n, "the submodularity check")
     n = game.n
-    c = game.cost_bits
+    table, _ = game.scaled_table()
     size = 1 << n
-    table = [c(bits) for bits in range(size)]
     for s in range(size):
         cs = table[s]
         for t in range(size):
@@ -165,13 +166,13 @@ def is_monotone(game: Game) -> PairCheck:
     """c(S) <= c(T) whenever S is a subset of T."""
     check_enum_limit(game.n, "the monotonicity check")
     n = game.n
-    c = game.cost_bits
+    c, _ = game.scaled_table()
     full = (1 << n) - 1
     for s in range(full + 1):
-        cs = c(s)
+        cs = c[s]
         # supersets of s in ascending order: s | u over submasks u of ~s
         for u in submasks_ascending(full ^ s):
-            if cs > c(s | u):
+            if cs > c[s | u]:
                 return PairCheck(False, (Coalition(s, n), Coalition(s | u, n)))
     return PairCheck(True, None)
 
@@ -199,9 +200,9 @@ def to_profit_game(game: Game) -> ExplicitGame:
     nonnegativity.
     """
     check_enum_limit(game.n, "the profit transformation")
-    singles = game.singleton_costs()
-    single_sums = subset_sums(singles)
-    values = [single_sums[bits] - game.cost_bits(bits) for bits in range(1 << game.n)]
+    table = game.table()
+    single_sums = subset_sums([table[1 << i] for i in range(game.n)])
+    values = [s - c for s, c in zip(single_sums, table)]
     return ExplicitGame(game.n, values, require_nonnegative=False)
 
 

@@ -26,7 +26,7 @@ integer subset recurrence that removes an MST leaf,
 c(S) = min over v in S of c(S - v) + near_v(S - v), with near_v(X) the
 cheapest edge from v into {0} + X (see :func:`_leaf_removal_table`). The
 table is built once per graph; every later lookup, the monotonization
-sweep and ``MstGame.scaled_table`` read it.
+sweep, ``MstGame.table`` and ``MstGame.scaled_table`` read it.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class GraphInstance:
     """A complete weighted graph on nodes {0, 1, ..., n}; node 0 is the supplier.
 
     Weights are symmetric nonnegative rationals. Instances are immutable
-    after construction. A coalition cost is one Prim run, memoized, until
-    the full cost table is built (by leaf removal, once); from then on
-    every cost is read from that table.
+    after construction. A coalition cost is one Prim run until the full
+    cost table is built (by leaf removal, once); from then on every cost
+    is read from that table.
     ``weights`` holds the rationals as given; the computations run on
     ``denominator`` (D) times them, which are integers, and every cost is
     handed back as a Fraction over D.
@@ -80,7 +80,6 @@ class GraphInstance:
         self.weights = tuple(tuple(row) for row in w)
         flat, self.denominator = over_common_denominator([v for row in w for v in row])
         self._w = tuple(tuple(flat[k:k + n + 1]) for k in range(0, len(flat), n + 1))
-        self._cost_cache: dict[int, int] = {0: 0}
         self._table: tuple[int, ...] | None = None
         self._monotone_table: tuple[int, ...] | None = None
 
@@ -174,14 +173,10 @@ class GraphInstance:
 
     def _cost(self, bits: int) -> int:
         """D times the coalition's spanning-tree cost: read from the table
-        once it exists, otherwise one memoized Prim run."""
+        once it exists, otherwise one Prim run."""
         if self._table is not None:
             return self._table[bits]
-        cached = self._cost_cache.get(bits)
-        if cached is None:
-            cached = self._tree(bits_members(bits))[0]
-            self._cost_cache[bits] = cached
-        return cached
+        return self._tree(bits_members(bits))[0]
 
     def coalition_cost(self, bits: int) -> Fraction:
         """MST cost of the subgraph induced by the coalition plus the supplier."""
@@ -286,6 +281,10 @@ class MstGame(Game):
         if self._table is not None:
             return Fraction(self._table[bits], self.graph.denominator)
         return self.graph.coalition_cost(bits)
+
+    def table(self) -> tuple[Fraction, ...]:
+        """The graph's own table, with no Prim run per coalition."""
+        return self.graph.monotonized_table() if self.monotonized else self.graph.cost_table()
 
     def scaled_table(self) -> tuple[Sequence[int], int]:
         """The graph's own integer table and its denominator D."""

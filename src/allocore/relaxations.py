@@ -23,12 +23,15 @@ Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
 (``_solve_coalitions``, the one builder of coalition rows). The working
 set starts from the n singleton rows, plus the grand-coalition row where
-the program has one; these bound every program. After each exact solve,
-one scan of all coalitions on integers (the point and the cost table
-over one common denominator, x(S) from one subset-sum pass, the eps or
-subsidy term as integers too) finds the violated rows, and the n most
-violated, ties to the smaller bitmask, join the working set. When the
-scan finds none, the working-set optimum is feasible for the full
+the program has one; these bound every program. A proper row reads
+x(S) - debits - slack: each member's share gives up its debit (eps in
+the weak epsilon core, agent i's subsidy t_i in the extended core) and
+the row gives up one slack (eps in the least core). After each exact
+solve, one scan of all coalitions on integers (the point and the cost
+table over one common denominator, x(S) - debits from one subset-sum
+pass over x - y[debit], less the slack) finds the violated rows, and the
+n most violated, ties to the smaller bitmask, join the working set. When
+the scan finds none, the working-set optimum is feasible for the full
 program and at least its optimum (the working set is a relaxation), so
 it is the exact optimum. On three random rational-model spanning-tree
 games per size, the nonnegative almost-core program took 4 to 8 rounds
@@ -72,29 +75,17 @@ def _require_multi_agent(game: Game, what: str) -> None:
         )
 
 
-def _indicator(bits: int, first: int = 0, value: Fraction = _ONE) -> dict[int, Fraction]:
-    """The row {first + i - 1: value} over the members i of a bitmask."""
-    return dict.fromkeys((first + i - 1 for i in bits_members(bits)), value)
-
-
-class _Extra(NamedTuple):
-    """The y-part of every coalition row, y being the variables n and up.
-
-    Its coefficients are integers, so y over a denominator P gives every
-    row's y-part over the same P.
-    """
-
-    row: Callable[[int], dict[int, Fraction]]  # bits -> {y variable: coefficient}
-    values: Callable[[Sequence[int]], list[int]]  # P * y -> P * (y-part of row S), every bitmask S
-
-
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, relation: str = "<=", extra: _Extra | None = None, grand: str | None = None,
+    what: str, relation: str = "<=", debit: Sequence[int] | None = None,
+    slack: int | None = None, grand: str | None = None,
 ) -> LpSolution:
-    """The optimum of max objective . (x, y) subject to x(S) + extra(S) . y
-    (relation) c(S) for every proper coalition S, plus x(N) (grand) c(N) when
-    ``grand`` names a relation; x are the first n variables and y the rest.
+    """The optimum of max objective . (x, y) subject to
+    x(S) - sum over i in S of y[debit[i]] - y[slack] (relation) c(S) for
+    every proper coalition S, plus x(N) (grand) c(N) when ``grand`` names a
+    relation; x are the first n variables and y the rest. ``debit`` names,
+    per agent, the y variable taken off its share; ``slack`` the one taken
+    off each proper row once.
 
     Solved by row generation (see the module docstring). Every program here
     is feasible and its seed rows bound it, so a working set that does not
@@ -106,9 +97,14 @@ def _solve_coalitions(
     problem = LpProblem(len(objective), objective, bounds)
 
     def add(bits: int, rel: str) -> None:
-        row = _indicator(bits)
-        if extra is not None and bits != full:
-            row.update(extra.row(bits))
+        members = bits_members(bits)
+        row = dict.fromkeys((i - 1 for i in members), _ONE)
+        if bits != full:
+            if debit is not None:
+                for i in members:
+                    row[debit[i - 1]] = row.get(debit[i - 1], _ZERO) - _ONE
+            if slack is not None:
+                row[slack] = -_ONE
         problem.add(row, rel, game.cost_bits(bits))
 
     working = {1 << i for i in range(n)} - {full}
@@ -122,11 +118,10 @@ def _solve_coalitions(
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
         point, scale = over_common_denominator(solution.point, d)
-        lhs = subset_sums(point[:n])
-        if extra is not None:
-            lhs = [a + b for a, b in zip(lhs, extra.values(point[n:]))]
+        shares = point[:n] if debit is None else [a - point[j] for a, j in zip(point, debit)]
+        off = 0 if slack is None else point[slack]
         factor = scale // d
-        excess = [sign * (a - factor * c) for a, c in zip(lhs, table)]
+        excess = [sign * (a - off - factor * c) for a, c in zip(subset_sums(shares), table)]
         violated = heapq.nlargest(
             n, (b for b in range(1, full) if excess[b] > 0), key=excess.__getitem__
         )
@@ -205,27 +200,26 @@ def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
 
 
 def _epsilon_relaxation(
-    game: Game, weight_of_size: Callable[[int], int]
+    game: Game, *, debit: Sequence[int] | None = None, slack: int | None = None
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """min eps >= 0 with x(S) <= c(S) + eps * weight(|S|) for proper S, x(N) = c(N)."""
+    """min eps >= 0 with x(S) - debits - slack <= c(S) for proper S and
+    x(N) = c(N), eps being variable n."""
     n = game.n
-    weights = [weight_of_size(bits.bit_count()) for bits in range(1 << n)]
     solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="an epsilon-core program",
-        extra=_Extra(lambda bits: {n: -weights[bits]}, lambda y: [-w * y[0] for w in weights]),
-        grand="==",
+        debit=debit, slack=slack, grand="==",
     )
     return -solution.value, solution.point[:n]
 
 
 def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest uniform additive relaxation (the least-core value) and a witness."""
-    return _epsilon_relaxation(game, lambda _size: 1)
+    return _epsilon_relaxation(game, slack=game.n)
 
 
 def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest per-capita additive relaxation, eps scaled by coalition size."""
-    return _epsilon_relaxation(game, lambda size: size)
+    return _epsilon_relaxation(game, debit=[game.n] * game.n)
 
 
 def mult_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]] | None:
@@ -266,8 +260,7 @@ def extended_core_delta(
     n = game.n
     solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n, what="the subsidy program",
-        extra=_Extra(lambda bits: _indicator(bits, n, -_ONE), lambda t: [-s for s in subset_sums(t)]),
-        grand="==",
+        debit=range(n, 2 * n), grand="==",
     )
     return -solution.value, (solution.point[:n], solution.point[n:])
 

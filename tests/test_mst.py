@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError, PreconditionError
-from allocore.games import ExplicitGame, is_subadditive, subset_sums
+from allocore.games import (
+    ExplicitGame,
+    is_monotone,
+    is_subadditive,
+    is_submodular,
+    subset_sums,
+    to_profit_game,
+)
 from allocore.generators import WEIGHT_MODELS, detour_instance, random_graph
 from allocore.mstgame import (
     GraphInstance,
@@ -384,6 +391,26 @@ def test_table_exports_match_per_entry_fractions(model):
         assert graph._scaled_monotonized_table() == tuple(superset_minimum(scaled, n))
         assert mono == tuple(Fraction(v, d) for v in graph._scaled_monotonized_table())
         assert all(type(v) is Fraction for v in table + mono)
+
+
+@pytest.mark.parametrize("kind", WEIGHT_MODELS + ("ties",))
+def test_mst_game_table_reads_the_graph_table(kind, monkeypatch):
+    trees = []
+    tree = GraphInstance._tree
+    monkeypatch.setattr(GraphInstance, "_tree", lambda self, v: trees.append(v) or tree(self, v))
+    for n in range(1, 8):
+        graph = fixed_graph(kind, n, seed=n)
+        for monotonized in (False, True):
+            game = MstGame(graph, monotonized=monotonized)
+            trees.clear()
+            table = game.table()
+            assert trees == []  # no Prim run per coalition
+            assert table == (graph.monotonized_table() if monotonized else graph.cost_table())
+            # the checks read the game's table; an explicit copy gives the same verdicts
+            explicit = ExplicitGame(n, table)
+            for check in (is_subadditive, is_submodular, is_monotone):
+                assert check(game) == check(explicit), (check.__name__, n, monotonized)
+            assert to_profit_game(game).table() == to_profit_game(explicit).table()
 
 
 def expected_separation(scan, n):

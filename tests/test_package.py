@@ -1,9 +1,11 @@
+import ast
 from fractions import Fraction
 from pathlib import Path
 
 import allocore
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(allocore.__file__).resolve().parent
 
 
 def test_all_names_resolve_without_duplicates():
@@ -21,3 +23,26 @@ def test_readme_quick_start_runs_and_states_its_results():
     assert scope["alloc"] == (1, 0, Fraction(1, 4))
     assert sum(scope["alloc"]) == Fraction(5, 4)
     assert scope["report"].ac_opt_nonneg == scope["value"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))  # re-exported names count as used
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

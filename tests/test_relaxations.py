@@ -471,46 +471,60 @@ class TestSeparation:
                 assert violated - game.cost(res.coalition) == res.amount > 0
 
 
-def _dense_programs(game):
-    """Each coalition program as (dense problem over every proper coalition,
-    the row-generation optimum in the problem's max form, its full point)."""
+def _programs(game):
+    """Each coalition program as (its dense problem over every proper
+    coalition, a call that solves it by row generation and returns the
+    optimum in the problem's max form and the full point)."""
     n = game.n
+    profit_game = to_profit_game(game)
 
     def epsilon(weight, solver):
-        eps, x = solver(game)
         problem = dense_coalition_program(
             game, [0] * n + [-1], [None] * n + [0],
             extra=lambda bits: {n: -weight(bits.bit_count())}, grand="==",
         )
-        return problem, -eps, (*x, eps)
 
-    core = core_optimum(game, [1] * n)
-    subsidy, (sx, st) = extended_core_delta(game)
-    profit_game = to_profit_game(game)
-    profit, px = min_stable_profit(profit_game)
+        def run():
+            eps, x = solver(game)
+            return -eps, (*x, eps)
+
+        return problem, run
+
+    def core():
+        solution = core_optimum(game, [1] * n)
+        return solution.value, solution.point
+
+    def subsidy():
+        delta, (x, t) = extended_core_delta(game)
+        return -delta, (*x, *t)
+
+    def profit():
+        value, x = min_stable_profit(profit_game)
+        return -value, tuple(x)
+
     cases = {
-        "core": (dense_coalition_program(game, [1] * n, grand="<="), core.value, core.point),
+        "core": (dense_coalition_program(game, [1] * n, grand="<="), core),
         "subsidy": (
             dense_coalition_program(
                 game, [0] * n + [-1] * n, [None] * n + [0] * n,
                 extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand="==",
             ),
-            -subsidy, (*sx, *st),
+            subsidy,
         ),
         "least-core": epsilon(lambda size: 1, least_core_eps),
         "weak-core": epsilon(lambda size: size, weak_core_eps),
-        "stable-profit": (
-            dense_coalition_program(profit_game, [-1] * n, relation=">="), -profit, tuple(px)
-        ),
+        "stable-profit": (dense_coalition_program(profit_game, [-1] * n, relation=">="), profit),
     }
     for nonneg in (False, True):
-        value, x = almost_core_optimum(game, nonneg)
-        cases[f"almost-core nonneg={nonneg}"] = (almost_core_problem(game, nonneg), value, tuple(x))
+        cases[f"almost-core nonneg={nonneg}"] = (
+            almost_core_problem(game, nonneg), lambda nonneg=nonneg: almost_core_optimum(game, nonneg)
+        )
     return cases
 
 
 def _assert_matches_dense(game):
-    for name, (problem, value, point) in _dense_programs(game).items():
+    for name, (problem, run) in _programs(game).items():
+        value, point = run()
         dense = solve(problem)
         assert dense.is_optimal, name
         assert value == dense.value, (name, value, dense.value)
@@ -556,6 +570,37 @@ class TestRowGeneration:
         value, x = min_stable_profit(game)
         assert value == 3 and tuple(x) == (1, 1, 1)
         _assert_matches_dense(game)
+
+    def test_stored_rows_are_the_dense_rows(self, monkeypatch):
+        # every row the working set stores is the dense program's row for its
+        # coalition, coefficient for coefficient, so both solve one program
+        problems = []
+
+        def capturing(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(allocore.relaxations, "solve", capturing)
+        rng = Random(94)
+        games = [random_empty_core_game(rng, n) for n in range(2, 7)]
+        games += [random_explicit_game(rng, n) for n in range(2, 6)]
+        games += [MstGame(random_graph(rng, 7, model)) for model in WEIGHT_MODELS]
+        generated = 0
+        for game in games:
+            n, full = game.n, (1 << game.n) - 1
+            for name, (dense, run) in _programs(game).items():
+                problems.clear()
+                run()
+                assert len(set(map(id, problems))) == 1, name
+                stored = problems[0].constraints
+                generated += len(stored) > n + 1
+                for con in stored:
+                    bits = sum(1 << i for i in con.coef if i < n)
+                    want = dense.constraints[-1 if bits == full else bits - 1]
+                    assert (list(con.coef.items()), con.relation, con.rhs, con.den) == (
+                        list(want.coef.items()), want.relation, want.rhs, want.den
+                    ), (name, bits)
+        assert generated > 0  # rows past the seed rows were compared too
 
     def test_rounds(self, monkeypatch):
         solves = []
