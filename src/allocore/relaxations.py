@@ -445,25 +445,22 @@ def brute_force_nonneg_core_oracle(game: Game) -> CoreOracle:
 def _lift(
     shares: tuple[Fraction, ...], c_n: Fraction, core_sep: CoreOracle, game: Game | None = None
 ) -> SeparationResult:
-    """The n-query reduction of both separation variants.
+    """Both separation variants: at most n queries, one when x(N) <= c(N).
 
+    Query k is x lowered in coordinate k by over = max(x(N) - c(N), 0).
     ``game`` turns on the nonnegative variant's shortcut, which reports N
-    minus k before lowering coordinate k would take it below zero.
+    minus k when lowering coordinate k would take it below zero.
     """
     n = len(shares)
     total = sum(shares, _ZERO)
-    for k in range(n):
-        rest = total - shares[k]
-        ceiling = c_n - rest
-        if game is not None and ceiling < 0:
+    over = max(total - c_n, _ZERO)
+    for k in range(n if over else min(n, 1)):  # with over = 0 every query is x
+        if game is not None and shares[k] < over:
             # x(N \ {k}) > c(N) >= c(N \ {k}): that coalition is violated as is.
             bits = ((1 << n) - 1) ^ (1 << k)
-            return SeparationResult(False, Coalition(bits, n), rest - game.cost_bits(bits))
-        if ceiling >= shares[k]:
-            lowered = shares
-        else:
-            lowered = shares[:k] + (ceiling,) + shares[k + 1 :]
-        result = core_sep(lowered)
+            amount = total - shares[k] - game.cost_bits(bits)
+            return SeparationResult(False, Coalition(bits, n), amount)
+        result = core_sep(shares[:k] + (shares[k] - over,) + shares[k + 1 :])
         if not result.member:
             if result.coalition is None or result.coalition.bits == (1 << n) - 1:
                 raise PreconditionError(
@@ -471,8 +468,8 @@ def _lift(
                     "point with total at most c(N)"
                 )
             amount = result.amount
-            if (result.coalition.bits >> k) & 1 and lowered[k] != shares[k]:
-                amount += shares[k] - lowered[k]
+            if (result.coalition.bits >> k) & 1:
+                amount += over
             return SeparationResult(False, result.coalition, amount)
     return SeparationResult(True)
 
@@ -480,14 +477,14 @@ def _lift(
 def separate_almost_core(
     xhat: Sequence[object], core_sep: CoreOracle, c_grand: object
 ) -> SeparationResult:
-    """Almost-core membership via n queries to a core separation oracle.
+    """Almost-core membership via at most n queries to a core separation
+    oracle, one when x(N) <= c(N).
 
-    For each agent k the candidate point is lowered in coordinate k just
-    enough that its total is at most c(N), then handed to the oracle. A
-    violated coalition reported for a lowered point never involves the
-    grand coalition and lifts verbatim to the original point; if all n
-    queries pass, the original point satisfies every proper-coalition
-    constraint.
+    Query k is the candidate lowered in coordinate k by the common excess
+    x(N) - c(N), or the candidate itself when that is not positive. A
+    violated proper coalition found at query k lifts to the candidate with
+    the excess added back when it contains k; if every query passes, the
+    candidate satisfies every proper-coalition constraint.
     """
     return _lift(tuple(as_rational(v) for v in xhat), as_rational(c_grand), core_sep)
 

@@ -378,3 +378,35 @@ def reference_core_scan(table, point, nonneg=False):
         if excess > 0:
             return ("coalition", bits, excess)
     return ("member",)
+
+
+def reference_lift(table, point, nonneg=False):
+    """The n-query separation reduction over ``reference_core_scan``, with
+    c(N) = table[-1]: query k lowers coordinate k just enough that the total
+    is at most c(N). With ``nonneg`` the bounds x >= 0 come first, and N
+    minus k is reported when that ceiling on x_k is negative. A coalition
+    found at query k gets back what coordinate k lost when it contains k.
+    Returns the tuples of ``reference_core_scan``."""
+    x = [Fraction(v) for v in point]
+    n = len(x)
+    full = (1 << n) - 1
+    if nonneg:
+        for i, v in enumerate(x):
+            if v < 0:
+                return ("bound", i + 1, -v)
+    total = sum(x, Fraction(0))
+    for k in range(n):
+        ceiling = table[full] - (total - x[k])
+        if nonneg and ceiling < 0:
+            bits = full ^ (1 << k)
+            return ("coalition", bits, total - x[k] - table[bits])
+        lowered = list(x)
+        lowered[k] = min(x[k], ceiling)
+        found = reference_core_scan(table, lowered, nonneg)
+        if found[0] != "member":
+            kind, bits, amount = found
+            assert kind == "coalition" and bits != full, "core scan reported no proper coalition"
+            if bits >> k & 1:
+                amount += x[k] - lowered[k]
+            return ("coalition", bits, amount)
+    return ("member",)

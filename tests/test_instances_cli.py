@@ -464,8 +464,20 @@ class TestCliBench:
         assert Fraction(summary["ratio_min"]) >= 1
         assert Fraction(summary["ratio_max"]) <= 2
 
+    def test_decimal_adds_float_ratios(self, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--seed", "5", "--count", "4", "--n", "2-4", "--decimal")
+        assert code == 0
+        *records, summary = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 4
+        for record in records:
+            assert record["ratio_decimal"] == float(Fraction(record["ratio"]))
+        assert summary["ratio_mean_decimal"] == float(Fraction(summary["ratio_mean"]))
+
     def test_range_validation(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--n", "1-3")
         assert code == 4
+        code, _, err = run_cli(capsys, "bench", "--n", "3-4-5")
+        assert code == 4
+        assert "--n expects N or LO-HI" in err
         code, _, _ = run_cli(capsys, "bench", "--n", "3-17")
         assert code == 3

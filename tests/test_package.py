@@ -46,3 +46,40 @@ def test_no_module_imports_a_name_it_never_uses():
                 used.update(ast.literal_eval(node.value))  # re-exported names count as used
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_name_is_read_in_the_package():
+    """A module-level private function, class or constant, or a private
+    method, that no code in the package reads is dead."""
+    defined = []
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (name.id, f"{path.name}:{node.lineno}")
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (method.name, f"{path.name}:{method.lineno}")
+                    for method in node.body
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{where} {name}"
+        for name, where in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
+    assert unread == []

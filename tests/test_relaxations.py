@@ -20,8 +20,9 @@ from allocore.generators import (
     random_last_monotone_game,
 )
 from allocore.lp import LpProblem, LpStatus, solve, verify_point
-from allocore.mstgame import MstGame
+from allocore.mstgame import MstGame, granot_huberman
 from allocore.relaxations import (
+    SeparationResult,
     almost_core_optimum,
     brute_force_core_oracle,
     brute_force_nonneg_core_oracle,
@@ -44,6 +45,7 @@ from _oracles import (
     almost_core_nonneg_member,
     almost_core_problem,
     dense_coalition_program,
+    reference_lift,
 )
 
 
@@ -442,33 +444,113 @@ class TestSeparation:
         for _ in range(120):
             n = rng.randint(2, 6)
             game = random_explicit_game(rng, n)
-            point = [Fraction(rng.randint(-4, 12), rng.randint(1, 3)) for _ in range(n)]
             oracle = brute_force_core_oracle(game)
-            res = separate_almost_core(point, oracle, game.grand_cost())
-            assert res.member == almost_core_member(game, point)
-            if not res.member:
-                violated = sum(point[i - 1] for i in res.coalition.members())
-                assert 0 < res.coalition.bits < (1 << n) - 1
-                assert violated - game.cost(res.coalition) == res.amount > 0
+            random_point = [Fraction(rng.randint(-4, 12), rng.randint(1, 3)) for _ in range(n)]
+            for point in (random_point, _budget_balanced(rng, game)):
+                res = separate_almost_core(point, oracle, game.grand_cost())
+                assert res.member == almost_core_member(game, point)
+                assert _as_tuple(res) == reference_lift(game.table(), point)
+                if not res.member:
+                    violated = sum(point[i - 1] for i in res.coalition.members())
+                    assert 0 < res.coalition.bits < (1 << n) - 1
+                    assert violated - game.cost(res.coalition) == res.amount > 0
 
     def test_nonneg_agreement_with_brute_force(self):
         rng = Random(36)
         for _ in range(120):
             n = rng.randint(2, 6)
             game = random_last_monotone_game(rng, n)
-            point = [Fraction(rng.randint(-2, 10), rng.randint(1, 3)) for _ in range(n)]
             oracle = brute_force_nonneg_core_oracle(game)
-            res = separate_almost_core_nonneg(point, oracle, game)
-            assert res.member == almost_core_nonneg_member(game, point)
-            if res.member:
-                continue
-            if res.negative_agent is not None:
-                assert res.coalition is None
-                assert point[res.negative_agent - 1] == -res.amount < 0
-            else:
-                violated = sum(point[i - 1] for i in res.coalition.members())
-                assert 0 < res.coalition.bits < (1 << n) - 1
-                assert violated - game.cost(res.coalition) == res.amount > 0
+            random_point = [Fraction(rng.randint(-2, 10), rng.randint(1, 3)) for _ in range(n)]
+            for point in (random_point, _budget_balanced(rng, game)):
+                res = separate_almost_core_nonneg(point, oracle, game)
+                assert res.member == almost_core_nonneg_member(game, point)
+                assert _as_tuple(res) == reference_lift(game.table(), point, nonneg=True)
+                if res.member:
+                    continue
+                if res.negative_agent is not None:
+                    assert res.coalition is None
+                    assert point[res.negative_agent - 1] == -res.amount < 0
+                else:
+                    violated = sum(point[i - 1] for i in res.coalition.members())
+                    assert 0 < res.coalition.bits < (1 << n) - 1
+                    assert violated - game.cost(res.coalition) == res.amount > 0
+
+
+def _budget_balanced(rng, game):
+    """A point with x(N) = c(N): c(N) split in random nonnegative proportions."""
+    weights = [rng.randint(0, 4) for _ in range(game.n)]
+    if not any(weights):
+        weights[-1] = 1
+    total = sum(weights)
+    return [game.grand_cost() * w / total for w in weights]
+
+
+def _as_tuple(res):
+    """A ``SeparationResult`` in the form of ``reference_lift``'s results."""
+    if res.member:
+        return ("member",)
+    if res.negative_agent is not None:
+        return ("bound", res.negative_agent, res.amount)
+    return ("coalition", res.coalition.bits, res.amount)
+
+
+def _counting(oracle):
+    """``oracle`` wrapped to record every query point, and that record."""
+    queries = []
+
+    def counted(point):
+        queries.append(tuple(point))
+        return oracle(point)
+
+    return counted, queries
+
+
+class TestLiftQueries:
+    def test_one_query_within_budget(self):
+        rng = Random(37)
+        for _ in range(20):
+            graph = random_graph(rng, rng.randint(2, 6), rng.choice(WEIGHT_MODELS))
+            x = granot_huberman(graph)
+            game = MstGame(graph)
+            oracle, queries = _counting(brute_force_core_oracle(game))
+            assert separate_almost_core(x, oracle, game.grand_cost()).member
+            assert queries == [x]
+            game = MstGame(graph, monotonized=True)
+            oracle, queries = _counting(brute_force_nonneg_core_oracle(game))
+            assert separate_almost_core_nonneg(x, oracle, game).member
+            assert queries == [x]
+
+    def test_one_query_per_agent_over_budget(self, gap5):
+        game = MstGame(gap5)
+        x = (Fraction(0), Fraction(0), Fraction(5))
+        over = sum(x) - game.grand_cost()
+        assert over > 0
+        oracle, queries = _counting(brute_force_core_oracle(game))
+        assert separate_almost_core(x, oracle, game.grand_cost()).member
+        assert queries == [x[:k] + (x[k] - over,) + x[k + 1 :] for k in range(3)]
+
+    def test_no_agents_no_query(self):
+        game = ExplicitGame(0, [0])
+        oracle, queries = _counting(brute_force_core_oracle(game))
+        assert separate_almost_core([], oracle, game.grand_cost()).member
+        oracle, queries_nonneg = _counting(brute_force_nonneg_core_oracle(game))
+        assert separate_almost_core_nonneg([], oracle, game).member
+        assert queries == queries_nonneg == []
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            SeparationResult(False, Coalition(0b111, 3), Fraction(1)),
+            SeparationResult(False, negative_agent=1, amount=Fraction(1)),
+        ],
+        ids=["grand-coalition", "no-coalition"],
+    )
+    @pytest.mark.parametrize("point", [[0, 0, 0], [1, 1, 1]], ids=["within-budget", "over-budget"])
+    def test_failed_oracle_is_a_precondition_error(self, report, point):
+        game = ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2])
+        with pytest.raises(PreconditionError, match="core oracle failed"):
+            separate_almost_core(point, lambda _: report, game.grand_cost())
 
 
 def _programs(game):
