@@ -16,13 +16,8 @@ from .games import (
     ENUM_LIMIT,
     ExplicitGame,
     Game,
-    is_monotone,
-    is_subadditive,
-    is_submodular,
-    profit_transform_allocation,
     satisfies_last_monotone,
     subset_sums,
-    to_profit_game,
 )
 from .lp import LpProblem, LpSolution, LpStatus, VerifyResult, solve, verify_point
 from .mstgame import (
@@ -31,7 +26,6 @@ from .mstgame import (
     MstGame,
     almost_core_approx,
     granot_huberman,
-    shift_weights,
 )
 from .relaxations import (
     RelaxationReport,
@@ -46,8 +40,6 @@ from .relaxations import (
     full_report,
     gamma_approx,
     least_core_eps,
-    min_stable_profit,
-    mult_core_eps,
     separate_almost_core,
     separate_almost_core_nonneg,
     weak_core_eps,
@@ -82,20 +74,12 @@ __all__ = [
     "full_report",
     "gamma_approx",
     "granot_huberman",
-    "is_monotone",
-    "is_subadditive",
-    "is_submodular",
     "least_core_eps",
-    "min_stable_profit",
-    "mult_core_eps",
-    "profit_transform_allocation",
     "satisfies_last_monotone",
     "separate_almost_core",
     "separate_almost_core_nonneg",
-    "shift_weights",
     "solve",
     "subset_sums",
-    "to_profit_game",
     "verify_point",
     "weak_core_eps",
 ]

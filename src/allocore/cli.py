@@ -98,6 +98,8 @@ def _ratio(optimum: Fraction, value: Fraction) -> Fraction:
 def cmd_mst(args) -> int:
     instance = instances.load(args.file)
     graph = instances.to_graph(instance)
+    if args.monotonize and args.action != "table":
+        raise PreconditionError("--monotonize applies to the table action only")
     if args.action == "table":
         table = (
             graph.monotonized_table() if args.monotonize else graph.cost_table()

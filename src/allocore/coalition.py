@@ -8,7 +8,7 @@ coalition (it is reserved for the supplier node of spanning-tree instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,16 +42,6 @@ class Coalition:
 
     def __str__(self) -> str:
         return "{" + self.key() + "}"
-
-
-def submasks_ascending(mask: int) -> Iterator[int]:
-    """Nonempty submasks of ``mask`` in increasing numeric order."""
-    sub = 0
-    while True:
-        sub = (sub - mask) & mask
-        if sub == 0:
-            return
-        yield sub
 
 
 def bits_members(bits: int) -> tuple[int, ...]:

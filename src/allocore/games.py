@@ -1,11 +1,8 @@
-"""Transferable-utility games and brute-force structural checks.
+"""Transferable-utility games and the exact-rational helpers they share.
 
-A game is a pair (N, c) of agents N = {1, ..., n} and a characteristic cost
-function c on coalitions with c(empty) = 0. Cost games are nonnegative;
-profit games produced by :func:`to_profit_game` may carry negative values.
-An allocation is a plain tuple of n Fractions, agent i's share at index i - 1.
-The brute-force checks read the whole table once, as the integers of
-:meth:`Game.scaled_table`; scaling by D > 0 keeps every comparison.
+A game is a pair (N, c) of agents N = {1, ..., n} and a nonnegative
+characteristic cost function c on coalitions with c(empty) = 0. An
+allocation is a plain tuple of n Fractions, agent i's share at index i - 1.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
-from .coalition import Coalition, submasks_ascending
+from .coalition import Coalition
 from .errors import EnumerationLimitError
 
 #: Hard cap for any operation that enumerates all coalitions (2^n table rows).
@@ -82,9 +79,6 @@ class Game:
     def grand_cost(self) -> Fraction:
         return self.cost_bits((1 << self.n) - 1)
 
-    def singleton_costs(self) -> tuple[Fraction, ...]:
-        return tuple(self.cost_bits(1 << i) for i in range(self.n))
-
     def table(self) -> tuple[Fraction, ...]:
         """The full 2^n cost table, indexed by bitmask."""
         check_enum_limit(self.n, "building a full cost table")
@@ -99,17 +93,16 @@ class Game:
 class ExplicitGame(Game):
     """A game backed by an explicit 2^n cost table indexed by bitmask."""
 
-    def __init__(self, n: int, costs: Sequence[object], *, require_nonnegative: bool = True):
+    def __init__(self, n: int, costs: Sequence[object]):
         check_enum_limit(n, "an explicit cost table")
         table = tuple(map(as_rational, costs))
         if len(table) != 1 << n:
             raise ValueError(f"cost table must have 2^{n} = {1 << n} entries, got {len(table)}")
         if table[0] != 0:
             raise ValueError("c(empty coalition) must be 0")
-        if require_nonnegative:
-            for bits, value in enumerate(table):
-                if value.numerator < 0:
-                    raise ValueError(f"cost of coalition mask {bits} is negative: {value}")
+        for bits, value in enumerate(table):
+            if value.numerator < 0:
+                raise ValueError(f"cost of coalition mask {bits} is negative: {value}")
         self.n = n
         self._table = table
 
@@ -120,61 +113,9 @@ class ExplicitGame(Game):
         return self._table
 
 
-class PairCheck(NamedTuple):
-    ok: bool
-    witness: tuple[Coalition, Coalition] | None
-
-
 class AgentCheck(NamedTuple):
     ok: bool
     witness: int | None
-
-
-def is_subadditive(game: Game) -> PairCheck:
-    """c(S | T) <= c(S) + c(T) for all disjoint nonempty S, T.
-
-    On failure the witness is the lexicographically smallest violating
-    (S, T) in bitmask order.
-    """
-    check_enum_limit(game.n, "the subadditivity check")
-    n = game.n
-    c, _ = game.scaled_table()
-    full = (1 << n) - 1
-    for s in range(1, full + 1):
-        cs = c[s]
-        for t in submasks_ascending(full ^ s):
-            if c[s | t] > cs + c[t]:
-                return PairCheck(False, (Coalition(s, n), Coalition(t, n)))
-    return PairCheck(True, None)
-
-
-def is_submodular(game: Game) -> PairCheck:
-    """c(S) + c(T) >= c(S | T) + c(S & T) for all S, T, by full enumeration."""
-    check_enum_limit(game.n, "the submodularity check")
-    n = game.n
-    table, _ = game.scaled_table()
-    size = 1 << n
-    for s in range(size):
-        cs = table[s]
-        for t in range(size):
-            if cs + table[t] < table[s | t] + table[s & t]:
-                return PairCheck(False, (Coalition(s, n), Coalition(t, n)))
-    return PairCheck(True, None)
-
-
-def is_monotone(game: Game) -> PairCheck:
-    """c(S) <= c(T) whenever S is a subset of T."""
-    check_enum_limit(game.n, "the monotonicity check")
-    n = game.n
-    c, _ = game.scaled_table()
-    full = (1 << n) - 1
-    for s in range(full + 1):
-        cs = c[s]
-        # supersets of s in ascending order: s | u over submasks u of ~s
-        for u in submasks_ascending(full ^ s):
-            if cs > c[s | u]:
-                return PairCheck(False, (Coalition(s, n), Coalition(s | u, n)))
-    return PairCheck(True, None)
 
 
 def satisfies_last_monotone(game: Game) -> AgentCheck:
@@ -190,24 +131,3 @@ def satisfies_last_monotone(game: Game) -> AgentCheck:
         if game.cost_bits(full ^ (1 << (k - 1))) > c_full:
             return AgentCheck(False, k)
     return AgentCheck(True, None)
-
-
-def to_profit_game(game: Game) -> ExplicitGame:
-    """The cost-savings game v(S) = sum_{i in S} c({i}) - c(S).
-
-    Values are nonnegative when the cost game is subadditive, but may be
-    negative otherwise; the resulting table is therefore not validated for
-    nonnegativity.
-    """
-    check_enum_limit(game.n, "the profit transformation")
-    table = game.table()
-    single_sums = subset_sums([table[1 << i] for i in range(game.n)])
-    values = [s - c for s, c in zip(single_sums, table)]
-    return ExplicitGame(game.n, values, require_nonnegative=False)
-
-
-def profit_transform_allocation(game: Game, x: Sequence[object]) -> tuple[Fraction, ...]:
-    """Map cost shares to profit shares by x_i -> c({i}) - x_i (an involution)."""
-    if len(x) != game.n:
-        raise ValueError("allocation length does not match the game")
-    return tuple(ci - as_rational(xi) for ci, xi in zip(game.singleton_costs(), x))

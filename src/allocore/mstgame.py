@@ -7,10 +7,9 @@ characteristic function and ``MstGame(graph, monotonized=True)`` its
 monotonization (coalitions may route through outside agents as Steiner
 nodes); ``graph.cost_table()`` and ``graph.monotonized_table()`` give either
 as a full table, for ``ExplicitGame(graph.n, table)``. The module also
-provides the classic one-tree core allocation, a 2-approximation for
+provides the classic one-tree core allocation and a 2-approximation for
 maximizing nonnegative shareable costs (both return shares as tuples of
-Fractions), and the uniform weight shift that removes the need for
-subsidies.
+Fractions).
 
 A ``GraphInstance`` keeps its weights as integers over one common
 denominator D, the lcm of the weight denominators. Prim's algorithm, the
@@ -221,10 +220,6 @@ class GraphInstance:
         """min over supersets of the cost table."""
         return self._fractions(self._scaled_monotonized_table())
 
-    def default_shift(self) -> Fraction:
-        """Sum of the supplier edge weights (the singleton costs)."""
-        return Fraction(sum(self._w[0][1:]), self.denominator)
-
 
 def _leaf_removal_table(w: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     """Spanning-tree cost of every coalition on the integer weights ``w``,
@@ -360,21 +355,3 @@ def almost_core_approx(graph: GraphInstance) -> tuple[tuple[Fraction, ...], Appr
     )
     return final, trace
 
-
-def shift_weights(graph: GraphInstance, amount: object | None = None) -> GraphInstance:
-    """Add a uniform amount to every edge weight.
-
-    Coalition costs shift by |S| * amount. The default amount (the sum of
-    all supplier edge weights) is large enough that the shifted game's
-    nonnegative almost-core optimum equals the original unrestricted
-    optimum plus n * amount.
-    """
-    m = graph.default_shift() if amount is None else as_rational(amount)
-    if m < 0:
-        raise ValueError("shift amount must be nonnegative")
-    size = graph.n + 1
-    w = [
-        [graph.weights[i][j] + m if i != j else _ZERO for j in range(size)]
-        for i in range(size)
-    ]
-    return GraphInstance(graph.n, w)

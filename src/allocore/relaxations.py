@@ -77,11 +77,11 @@ def _require_multi_agent(game: Game, what: str) -> None:
 
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, relation: str = "<=", debit: Sequence[int] | None = None,
-    slack: int | None = None, grand: str | None = None,
+    what: str, debit: Sequence[int] | None = None, slack: int | None = None,
+    grand: str | None = None,
 ) -> LpSolution:
     """The optimum of max objective . (x, y) subject to
-    x(S) - sum over i in S of y[debit[i]] - y[slack] (relation) c(S) for
+    x(S) - sum over i in S of y[debit[i]] - y[slack] <= c(S) for
     every proper coalition S, plus x(N) (grand) c(N) when ``grand`` names a
     relation; x are the first n variables and y the rest. ``debit`` names,
     per agent, the y variable taken off its share; ``slack`` the one taken
@@ -109,11 +109,10 @@ def _solve_coalitions(
 
     working = {1 << i for i in range(n)} - {full}
     for bits in sorted(working):
-        add(bits, relation)
+        add(bits, "<=")
     if grand is not None:
         add(full, grand)
     table, d = game.scaled_table()
-    sign = -1 if relation == ">=" else 1
     while True:
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
@@ -121,7 +120,7 @@ def _solve_coalitions(
         shares = point[:n] if debit is None else [a - point[j] for a, j in zip(point, debit)]
         off = 0 if slack is None else point[slack]
         factor = scale // d
-        excess = [sign * (a - off - factor * c) for a, c in zip(subset_sums(shares), table)]
+        excess = [a - off - factor * c for a, c in zip(subset_sums(shares), table)]
         violated = heapq.nlargest(
             n, (b for b in range(1, full) if excess[b] > 0), key=excess.__getitem__
         )
@@ -131,7 +130,7 @@ def _solve_coalitions(
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
         for bits in violated:
-            add(bits, relation)
+            add(bits, "<=")
 
 
 def almost_core_optimum(
@@ -222,18 +221,6 @@ def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     return _epsilon_relaxation(game, debit=[game.n] * game.n)
 
 
-def mult_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    """Smallest multiplicative relaxation x(S) <= (1 + eps) c(S), or None.
-
-    Computed through the bijection x -> (1 + eps) x between stable
-    allocations and multiplicatively relaxed ones: the optimum corresponds
-    to the largest feasible fraction of c(N), so eps* = c(N)/m - 1 where m
-    maximizes x(N) over all stability constraints. When m = 0 < c(N) no
-    finite scaling works and None is returned.
-    """
-    return _max_shareable(game).mult
-
-
 def gamma_approx(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Largest gamma <= 1 so that a stable allocation covers gamma * c(N)."""
     if game.grand_cost() == 0:
@@ -263,20 +250,6 @@ def extended_core_delta(
         debit=range(n, 2 * n), grand="==",
     )
     return -solution.value, (solution.point[:n], solution.point[n:])
-
-
-def min_stable_profit(profit_game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """min x(N) subject to x(S) >= v(S) for every proper coalition.
-
-    The profit-side counterpart of the almost-core maximization: for the
-    cost-savings game of a cost game, the two optima add up to the sum of
-    singleton costs.
-    """
-    _require_multi_agent(profit_game, "stable-profit minimization")
-    solution = _solve_coalitions(
-        profit_game, [-_ONE] * profit_game.n, what="the stable-profit program", relation=">="
-    )
-    return -solution.value, solution.point
 
 
 @dataclass(frozen=True, slots=True)

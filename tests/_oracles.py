@@ -148,6 +148,63 @@ def almost_core_problem(game, require_nonneg=False):
     return dense_coalition_program(game, [1] * n, [0] * n if require_nonneg else None)
 
 
+def first_failing_pair(game, holds):
+    """The first pair (S, T) of bitmasks, S then T ascending, for which
+    ``holds(game.table(), S, T)`` is false; None when it holds for all 4^n pairs."""
+    c = game.table()
+    return next(
+        ((s, t) for s in range(len(c)) for t in range(len(c)) if not holds(c, s, t)), None
+    )
+
+
+def subadditive(c, s, t):
+    """c(S | T) <= c(S) + c(T) for disjoint S and T."""
+    return s & t or c[s | t] <= c[s] + c[t]
+
+
+def submodular(c, s, t):
+    return c[s] + c[t] >= c[s | t] + c[s & t]
+
+
+def monotone(c, s, t):
+    """c(S) <= c(T) whenever S is a subset of T."""
+    return s & ~t or c[s] <= c[t]
+
+
+class ProfitGame:
+    """The cost-savings game v(S) = sum over i in S of c({i}) - c(S) of a
+    cost game. It is negative where c is not subadditive, so it is no
+    ``ExplicitGame``; it has what ``dense_coalition_program`` reads."""
+
+    def __init__(self, game):
+        self.n = game.n
+        c = game.table()
+        singles = [c[1 << i] for i in range(game.n)]
+        self.values = [coalition_sum(singles, bits) - c[bits] for bits in range(len(c))]
+
+    def cost_bits(self, bits):
+        return self.values[bits]
+
+
+def min_stable_profit(profit):
+    """min x(N) subject to x(S) >= v(S) for every proper coalition S, by one
+    dense solve: (the minimum, a minimizer)."""
+    from allocore.lp import solve
+
+    solution = solve(dense_coalition_program(profit, [-1] * profit.n, relation=">="))
+    return -solution.value, solution.point
+
+
+def shifted_graph(graph, amount):
+    """``graph`` with ``amount`` added to the weight of every edge."""
+    from allocore.mstgame import GraphInstance
+
+    return GraphInstance(graph.n, [
+        [w + amount if i != j else 0 for j, w in enumerate(row)]
+        for i, row in enumerate(graph.weights)
+    ])
+
+
 def superset_min_cost(graph, bits) -> Fraction:
     """Monotonized cost by direct enumeration over all supersets."""
     full = (1 << graph.n) - 1

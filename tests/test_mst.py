@@ -6,21 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError, PreconditionError
-from allocore.games import (
-    ExplicitGame,
-    is_monotone,
-    is_subadditive,
-    is_submodular,
-    subset_sums,
-    to_profit_game,
-)
+from allocore.games import ExplicitGame, subset_sums
 from allocore.generators import WEIGHT_MODELS, detour_instance, random_graph
 from allocore.mstgame import (
     GraphInstance,
     MstGame,
     almost_core_approx,
     granot_huberman,
-    shift_weights,
 )
 from allocore.relaxations import (
     SeparationResult,
@@ -31,9 +23,12 @@ from allocore.relaxations import (
 
 from _oracles import (
     coalition_sum,
+    first_failing_pair,
     reference_core_scan,
     reference_cost_table,
     reference_prim,
+    shifted_graph,
+    subadditive,
     superset_min_cost,
 )
 
@@ -233,32 +228,34 @@ class TestApproximation:
 
 class TestShiftWeights:
     def test_zero_shift_is_identity(self, subsidy5):
-        assert shift_weights(subsidy5, 0).weights == subsidy5.weights
+        assert shifted_graph(subsidy5, 0).weights == subsidy5.weights
 
     def test_default_shift_is_singleton_sum(self, subsidy5):
-        assert subsidy5.default_shift() == 20
-        shifted = shift_weights(subsidy5)
-        assert shifted.weights[1][2] == subsidy5.weights[1][2] + 20
+        # the shift of the reduction is the supplier edges' total, which is
+        # the sum of the singleton costs
+        shift = sum(subsidy5.weights[0])
+        assert shift == sum(MstGame(subsidy5).cost_bits(1 << i) for i in range(3)) == 20
+        assert shifted_graph(subsidy5, shift).weights[1][2] == subsidy5.weights[1][2] + 20
 
     def test_negative_rejected(self, subsidy5):
-        with pytest.raises(ValueError):
-            shift_weights(subsidy5, -1)
+        with pytest.raises(ValueError, match="negative weight"):
+            shifted_graph(subsidy5, -1)
 
     def test_cost_shift_identity(self):
         rng = Random(12)
         for _ in range(8):
             g = random_graph(rng, rng.randint(2, 5), "uniform")
             m = Fraction(rng.randint(0, 9))
-            shifted = shift_weights(g, m)
+            shifted = shifted_graph(g, m)
             for bits in range(1 << g.n):
                 assert shifted.coalition_cost(bits) == g.coalition_cost(
                     bits
                 ) + bits.bit_count() * m
 
     def test_shift_recovers_unrestricted_optimum(self, subsidy5):
-        m = subsidy5.default_shift()
+        m = sum(subsidy5.weights[0])
         value, x = almost_core_optimum(MstGame(subsidy5), require_nonneg=False)
-        shifted = shift_weights(subsidy5)
+        shifted = shifted_graph(subsidy5, m)
         s_value, s_x = almost_core_optimum(MstGame(shifted), require_nonneg=True)
         assert s_value == value + 3 * m == 65
         recovered = [v - m for v in s_x]
@@ -272,7 +269,7 @@ def test_mst_games_subadditive_and_tables_match():
     rng = Random(13)
     for _ in range(10):
         g = random_graph(rng, rng.randint(2, 6), rng.choice(["uniform", "nearpath"]))
-        assert is_subadditive(MstGame(g)).ok
+        assert first_failing_pair(MstGame(g), subadditive) is None
         game = ExplicitGame(g.n, g.cost_table())
         assert game.table() == g.cost_table()
 
@@ -406,11 +403,8 @@ def test_mst_game_table_reads_the_graph_table(kind, monkeypatch):
             table = game.table()
             assert trees == []  # no Prim run per coalition
             assert table == (graph.monotonized_table() if monotonized else graph.cost_table())
-            # the checks read the game's table; an explicit copy gives the same verdicts
-            explicit = ExplicitGame(n, table)
-            for check in (is_subadditive, is_submodular, is_monotone):
-                assert check(game) == check(explicit), (check.__name__, n, monotonized)
-            assert to_profit_game(game).table() == to_profit_game(explicit).table()
+            scaled, d = game.scaled_table()  # what the oracles and row generation read
+            assert tuple(Fraction(v, d) for v in scaled) == table
 
 
 def expected_separation(scan, n):

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import allocore
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = Path(allocore.__file__).resolve().parent
 
 
@@ -12,6 +13,24 @@ def test_all_names_resolve_without_duplicates():
     assert len(set(allocore.__all__)) == len(allocore.__all__)
     for name in allocore.__all__:
         assert getattr(allocore, name) is not None, name
+
+
+def _names_read(paths):
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_by_the_package_or_the_benchmarks():
+    """A public name that only the tests read belongs in the tests."""
+    modules = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    read = _names_read(modules + sorted((ROOT / "benchmarks").glob("*.py")))
+    assert [name for name in allocore.__all__ if name not in read] == []
 
 
 def test_readme_quick_start_runs_and_states_its_results():
@@ -52,7 +71,6 @@ def test_every_private_name_is_read_in_the_package():
     """A module-level private function, class or constant, or a private
     method, that no code in the package reads is dead."""
     defined = []
-    read = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
@@ -72,11 +90,7 @@ def test_every_private_name_is_read_in_the_package():
                     for method in node.body
                     if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
                 ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    read = _names_read(PACKAGE.glob("*.py"))
     unread = [
         f"{where} {name}"
         for name, where in defined

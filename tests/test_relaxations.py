@@ -6,12 +6,7 @@ import pytest
 import allocore.relaxations
 from allocore.coalition import Coalition
 from allocore.errors import PreconditionError, UndefinedRatioError
-from allocore.games import (
-    ExplicitGame,
-    satisfies_last_monotone,
-    subset_sums,
-    to_profit_game,
-)
+from allocore.games import ExplicitGame, satisfies_last_monotone, subset_sums
 from allocore.generators import (
     WEIGHT_MODELS,
     random_empty_core_game,
@@ -33,19 +28,21 @@ from allocore.relaxations import (
     full_report,
     gamma_approx,
     least_core_eps,
-    min_stable_profit,
-    mult_core_eps,
     separate_almost_core,
     separate_almost_core_nonneg,
     weak_core_eps,
 )
 
 from _oracles import (
+    ProfitGame,
     almost_core_member,
     almost_core_nonneg_member,
     almost_core_problem,
     dense_coalition_program,
+    first_failing_pair,
+    min_stable_profit,
     reference_lift,
+    submodular,
 )
 
 
@@ -153,7 +150,8 @@ class TestEpsilonRelaxations:
 
 class TestMultiplicative:
     def test_unbalanced(self, unbalanced3):
-        eps, x = mult_core_eps(unbalanced3)
+        report = full_report(unbalanced3)
+        eps, x = report.eps_mult, report.eps_mult_allocation
         assert eps == Fraction(1, 3)
         assert sum(x) == unbalanced3.grand_cost()
         sums = subset_sums(list(x))
@@ -161,12 +159,12 @@ class TestMultiplicative:
             assert sums[bits] <= (1 + eps) * unbalanced3.cost_bits(bits)
 
     def test_balanced_is_zero(self, tight_quarter):
-        eps, _ = mult_core_eps(MstGame(tight_quarter))
-        assert eps == 0
+        assert full_report(MstGame(tight_quarter)).eps_mult == 0
 
     def test_no_finite_scaling(self):
         game = ExplicitGame(2, [0, 0, 0, 5])
-        assert mult_core_eps(game) is None
+        report = full_report(game)
+        assert (report.eps_mult, report.eps_mult_allocation) == (None, None)
 
 
 class TestGamma:
@@ -257,8 +255,6 @@ class TestFullReport:
     def _assert_matches_standalone(game):
         r = full_report(game)
         assert (r.core_nonempty, r.core_allocation) == core_nonempty(game)
-        mult = mult_core_eps(game)
-        assert (r.eps_mult, r.eps_mult_allocation) == ((None, None) if mult is None else mult)
         if game.grand_cost() == 0:
             assert (r.gamma_approx, r.gamma_allocation) == (None, None)
         else:
@@ -335,10 +331,8 @@ class TestConditionThree:
 
     def test_submodular_last_monotone_games_have_clean_optima(self, steiner):
         # balanced + submodular + last-monotone: optimum exists, maximizer >= 0
-        from allocore.games import is_submodular
-
         game = MstGame(steiner, monotonized=True)
-        assert is_submodular(game).ok
+        assert first_failing_pair(game, submodular) is None
         value, x = almost_core_optimum(game)
         assert value == Fraction(3, 2)
         assert all(v >= 0 for v in x)
@@ -350,9 +344,9 @@ class TestProfitSide:
         for trial in range(20):
             game = random_explicit_game(rng, 7 + trial % 2 if trial < 4 else rng.randint(2, 5))
             ac_value, _ = almost_core_optimum(game)
-            profit = to_profit_game(game)
+            profit = ProfitGame(game)
             stable_min, xv = min_stable_profit(profit)
-            singles = sum(game.singleton_costs())
+            singles = sum(game.cost_bits(1 << i) for i in range(game.n))
             assert ac_value + stable_min == singles
             sums = subset_sums(list(xv))
             for bits in range(1, (1 << game.n) - 1):
@@ -558,7 +552,6 @@ def _programs(game):
     coalition, a call that solves it by row generation and returns the
     optimum in the problem's max form and the full point)."""
     n = game.n
-    profit_game = to_profit_game(game)
 
     def epsilon(weight, solver):
         problem = dense_coalition_program(
@@ -580,10 +573,6 @@ def _programs(game):
         delta, (x, t) = extended_core_delta(game)
         return -delta, (*x, *t)
 
-    def profit():
-        value, x = min_stable_profit(profit_game)
-        return -value, tuple(x)
-
     cases = {
         "core": (dense_coalition_program(game, [1] * n, grand="<="), core),
         "subsidy": (
@@ -595,7 +584,6 @@ def _programs(game):
         ),
         "least-core": epsilon(lambda size: 1, least_core_eps),
         "weak-core": epsilon(lambda size: size, weak_core_eps),
-        "stable-profit": (dense_coalition_program(profit_game, [-1] * n, relation=">="), profit),
     }
     for nonneg in (False, True):
         cases[f"almost-core nonneg={nonneg}"] = (
@@ -644,7 +632,6 @@ class TestRowGeneration:
         game = ExplicitGame(2, [0, 3, 4, 5])
         _assert_matches_dense(game)
         assert almost_core_optimum(game) == (7, (3, 4))
-        assert min_stable_profit(to_profit_game(game)) == (0, (0, 0))
 
     def test_profit_rows_are_lower_bounds(self):
         # v(S) >= 0 rows bind from below: the minimum charges each pair its value
