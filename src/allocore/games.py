@@ -26,9 +26,9 @@ def check_enum_limit(n: int, what: str) -> None:
 
 
 def as_rational(value: object) -> Fraction:
-    """Coerce ints, strings like "3/4" or "0.75", and Fractions; floats are
-    rejected, and so are strings in exponent notation ("1e999999999" would
-    build a billion-digit integer)."""
+    """Coerce ints, strings like "3/4" or "0.75", and Fractions; floats and
+    bools are rejected, and so are strings in exponent notation
+    ("1e999999999" would build a billion-digit integer)."""
     if type(value) is Fraction:  # the common case, without the ABC instance check
         return value
     if isinstance(value, str):
@@ -37,7 +37,7 @@ def as_rational(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

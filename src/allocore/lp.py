@@ -1,10 +1,10 @@
 """Exact linear programming on sparse integer rows.
 
 A two-phase primal simplex with Bland's anti-cycling rule. Problems are
-stated as maximization with mixed <=, ==, >= rows and optional
-per-variable lower bounds (None = free). Free variables are split into
-differences of nonnegatives internally, so every returned optimum is a
-vertex of the feasible region augmented by the bound constraints.
+stated as maximization over <= and == rows, each variable either free
+(lower bound None) or nonnegative (lower bound 0). Free variables are
+split into differences of nonnegatives internally, so every returned
+optimum is a vertex of the feasible region augmented by the x >= 0 bounds.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
@@ -44,9 +44,8 @@ _ZERO = Fraction(0)
 
 LE = "<="
 EQ = "=="
-GE = ">="
-_RELATIONS = (LE, EQ, GE)
-_HOLDS = {LE: operator.le, EQ: operator.eq, GE: operator.ge}
+_RELATIONS = (LE, EQ)
+_HOLDS = {LE: operator.le, EQ: operator.eq}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +76,7 @@ class LpSolution:
 
 
 class LpProblem:
-    """max objective . x subject to rows and optional variable lower bounds."""
+    """max objective . x subject to rows, each variable free or x_i >= 0."""
 
     def __init__(
         self,
@@ -92,13 +91,13 @@ class LpProblem:
         if len(self.objective) != num_vars:
             raise ValueError("objective length does not match num_vars")
         if lower_bounds is None:
-            self.lower_bounds: list[Fraction | None] = [None] * num_vars
-        else:
-            if len(lower_bounds) != num_vars:
-                raise ValueError("lower_bounds length does not match num_vars")
-            self.lower_bounds = [
-                None if b is None else as_rational(b) for b in lower_bounds
-            ]
+            lower_bounds = [None] * num_vars
+        if len(lower_bounds) != num_vars:
+            raise ValueError("lower_bounds length does not match num_vars")
+        bounds = [None if b is None else as_rational(b) for b in lower_bounds]
+        if any(bounds):  # None and 0 are the only falsy entries
+            raise ValueError("each lower bound must be 0 or None (free)")
+        self.lower_bounds: list[Fraction | None] = bounds
         self.constraints: list[Constraint] = []
 
     def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
@@ -112,7 +111,7 @@ class LpProblem:
         row = {}
         last, ascending = -1, True  # builders emit ascending keys; sort only other rows
         for i, v in coeffs.items():
-            if not isinstance(i, int) or not 0 <= i < self.num_vars:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.num_vars:
                 raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
             ascending = ascending and i > last
             last = i
@@ -152,7 +151,7 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
     bad_bounds = [
         i
         for i, (v, lb) in enumerate(zip(x, problem.lower_bounds))
-        if lb is not None and v < lb
+        if lb is not None and v < 0
     ]
     return VerifyResult(not bad_rows and not bad_bounds, tuple(bad_rows), tuple(bad_bounds))
 
@@ -263,60 +262,49 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Deterministic: identical problems yield bit-identical solutions.
     """
-    # Column layout: one column per bounded variable (shifted by its lower
-    # bound), two per free variable (positive and negative parts).
+    # Column layout: one column per nonnegative variable, two per free
+    # variable (positive and negative parts).
     col_var: list[tuple[int, int]] = []  # (variable index, sign)
     first_col: list[int] = []
-    shift: list[Fraction] = []
     for i, lb in enumerate(problem.lower_bounds):
         first_col.append(len(col_var))
         col_var.append((i, 1))
         if lb is None:
             col_var.append((i, -1))
-        shift.append(_ZERO if lb is None else lb)
     nstruct = len(col_var)
-    low, scale = over_common_denominator(shift)  # the lower bounds over L
 
     def columns(coef: Mapping[int, int]) -> dict[int, int]:
-        """The nonzero integers of a row or objective, by column, times L."""
+        """The nonzero integers of a row or objective, by column."""
         entries = {}
         for i, c in coef.items():
-            c *= scale
             entries[first_col[i]] = c
             if problem.lower_bounds[i] is None:
                 entries[first_col[i] + 1] = -c
         return entries
 
-    # x = y + low / L turns a stored row coef . x (relation) rhs over den into
-    # L coef . y (relation) L rhs - coef . low over den L; slack +1 (<=) or -1 (>=).
+    # Each <= row gets a slack column, +1 over the row's den; a row with a
+    # negative rhs is negated. Its basic column is then the slack when it
+    # still reads +1, otherwise an artificial column (after all real ones).
+    width = nstruct + sum(con.relation == LE for con in problem.constraints)
     rows: list[_Row] = []
-    slack_col_of_row: list[int | None] = []
-    width = nstruct
-    for con in problem.constraints:
-        b = con.rhs * scale - sum(c * low[i] for i, c in con.coef.items() if low[i])
-        row = _Row(columns(con.coef), b, con.den * scale)
-        scol = None
-        if con.relation != EQ:
-            scol = width
-            width += 1
-            row.coef[scol] = row.den if con.relation == LE else -row.den
-        if b < 0:
-            row.coef = {j: -v for j, v in row.coef.items()}
-            row.rhs = -row.rhs
-        rows.append(row)
-        slack_col_of_row.append(scol)
-
-    # Initial basis: use the slack where it survived with coefficient +1,
-    # otherwise an artificial column (appended after all real columns).
     basis: list[int] = []
     art_rows: list[int] = []
-    for r, (row, scol) in enumerate(zip(rows, slack_col_of_row)):
-        if scol is not None and row.coef[scol] > 0:
-            basis.append(scol)
+    scol = nstruct
+    for r, con in enumerate(problem.constraints):
+        row = _Row(columns(con.coef), con.rhs, con.den)
+        if con.relation == LE:
+            row.coef[scol] = con.den
+            scol += 1
+        if con.rhs < 0:
+            row.coef = {j: -v for j, v in row.coef.items()}
+            row.rhs = -row.rhs
+        if con.relation == LE and con.rhs >= 0:
+            basis.append(scol - 1)
         else:
             basis.append(width + len(art_rows))
             row.coef[basis[r]] = row.den
             art_rows.append(r)
+        rows.append(row)
 
     if art_rows:
         # Phase 1: maximize -(sum of artificials).
@@ -344,13 +332,13 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # Phase 2: the real objective over the current basis.
     obj, d = over_common_denominator(problem.objective)
-    cost = _Row(columns({i: c for i, c in enumerate(obj) if c}), 0, d * scale)
+    cost = _Row(columns({i: c for i, c in enumerate(obj) if c}), 0, d)
     tab = _Tableau(rows, basis, cost)
     verdict = tab.run_simplex()
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    x = list(shift)
+    x = [_ZERO] * problem.num_vars
     for row, bcol in zip(rows, basis):
         if bcol < nstruct and row.rhs:
             i, sign = col_var[bcol]

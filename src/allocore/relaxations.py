@@ -418,7 +418,7 @@ def brute_force_nonneg_core_oracle(game: Game) -> CoreOracle:
 def _lift(
     shares: tuple[Fraction, ...], c_n: Fraction, core_sep: CoreOracle, game: Game | None = None
 ) -> SeparationResult:
-    """Both separation variants: at most n queries, one when x(N) <= c(N).
+    """Both separation variants: one query when x(N) <= c(N), else at most n.
 
     Query k is x lowered in coordinate k by over = max(x(N) - c(N), 0).
     ``game`` turns on the nonnegative variant's shortcut, which reports N
@@ -427,13 +427,13 @@ def _lift(
     n = len(shares)
     total = sum(shares, _ZERO)
     over = max(total - c_n, _ZERO)
-    for k in range(n if over else min(n, 1)):  # with over = 0 every query is x
-        if game is not None and shares[k] < over:
+    for k in range(n if over else 1):  # with over = 0 the one query is x itself
+        if over and game is not None and shares[k] < over:
             # x(N \ {k}) > c(N) >= c(N \ {k}): that coalition is violated as is.
             bits = ((1 << n) - 1) ^ (1 << k)
             amount = total - shares[k] - game.cost_bits(bits)
             return SeparationResult(False, Coalition(bits, n), amount)
-        result = core_sep(shares[:k] + (shares[k] - over,) + shares[k + 1 :])
+        result = core_sep(shares[:k] + (shares[k] - over,) + shares[k + 1 :] if over else shares)
         if not result.member:
             if result.coalition is None or result.coalition.bits == (1 << n) - 1:
                 raise PreconditionError(
@@ -450,8 +450,8 @@ def _lift(
 def separate_almost_core(
     xhat: Sequence[object], core_sep: CoreOracle, c_grand: object
 ) -> SeparationResult:
-    """Almost-core membership via at most n queries to a core separation
-    oracle, one when x(N) <= c(N).
+    """Almost-core membership via queries to a core separation oracle: one
+    when x(N) <= c(N), else at most n.
 
     Query k is the candidate lowered in coordinate k by the common excess
     x(N) - c(N), or the candidate itself when that is not positive. A

@@ -31,15 +31,8 @@ def gauss_solve(rows, rhs):
 
 
 def satisfies(rows, rhs, rels, x) -> bool:
-    for row, b, rel in zip(rows, rhs, rels):
-        v = sum(a * xx for a, xx in zip(row, x))
-        if rel == "<=" and not v <= b:
-            return False
-        if rel == ">=" and not v >= b:
-            return False
-        if rel == "==" and v != b:
-            return False
-    return True
+    sums = (sum(a * xx for a, xx in zip(row, x)) for row in rows)
+    return all(v <= b if rel == "<=" else v == b for v, b, rel in zip(sums, rhs, rels))
 
 
 def enumerate_vertices(rows, rhs, rels=None):
@@ -101,14 +94,6 @@ def almost_core_nonneg_member(game, shares) -> bool:
     return all(v >= 0 for v in shares) and almost_core_member(game, shares)
 
 
-def core_polyhedron_member(game, shares) -> bool:
-    """Every nonempty coalition, the grand coalition included."""
-    return all(
-        coalition_sum(shares, bits) <= game.cost_bits(bits)
-        for bits in range(1, 1 << game.n)
-    )
-
-
 def almost_core_rows(game):
     """(rows, rhs) of the proper-coalition system, ascending bitmask order."""
     n = game.n
@@ -119,13 +104,14 @@ def almost_core_rows(game):
     return rows, rhs
 
 
-def dense_coalition_program(game, objective, bounds=None, relation="<=", extra=None, grand=None):
-    """max objective . (x, y) subject to x(S) + extra(S) . y (relation) c(S)
+def dense_coalition_program(game, objective, bounds=None, sign=1, extra=None, grand=None):
+    """max objective . (x, y) subject to sign x(S) + extra(S) . y <= sign c(S)
     for every proper coalition S in ascending bitmask order, then the row
     x(N) (grand) c(N) when ``grand`` names a relation.
 
     x are the first n variables and y the rest; ``extra`` maps a bitmask to
-    its row's {y variable: coefficient}. This is the full program that the
+    its row's {y variable: coefficient}. With sign = -1 a row states
+    x(S) >= c(S) as its negated <= row. This is the full program that the
     library's row generation must solve to the same optimum.
     """
     from allocore.lp import LpProblem
@@ -133,10 +119,10 @@ def dense_coalition_program(game, objective, bounds=None, relation="<=", extra=N
     n = game.n
     problem = LpProblem(len(objective), objective, bounds)
     for bits in range(1, (1 << n) - 1):
-        row = {i: 1 for i in range(n) if bits >> i & 1}
+        row = {i: sign for i in range(n) if bits >> i & 1}
         if extra is not None:
             row.update(extra(bits))
-        problem.add(row, relation, game.cost_bits(bits))
+        problem.add(row, "<=", sign * game.cost_bits(bits))
     if grand is not None:
         problem.add(dict.fromkeys(range(n), 1), grand, game.cost_bits((1 << n) - 1))
     return problem
@@ -191,7 +177,7 @@ def min_stable_profit(profit):
     dense solve: (the minimum, a minimizer)."""
     from allocore.lp import solve
 
-    solution = solve(dense_coalition_program(profit, [-1] * profit.n, relation=">="))
+    solution = solve(dense_coalition_program(profit, [-1] * profit.n, sign=-1))
     return -solution.value, solution.point
 
 
@@ -228,14 +214,15 @@ def rational_row(con):
 
 def dual_of_canonical(objective, rows, rhs):
     """For max{c x : A x <= b, x >= 0}: the dual min{b y : A^T y >= c, y >= 0},
-    stated as a maximization of -b y so both sides run through the same API."""
+    stated as max{-b y : -A^T y <= -c, y >= 0} so both sides run through the
+    same API."""
     from allocore.lp import LpProblem
 
     m = len(rows)
     n = len(objective)
     dual = LpProblem(m, [-b for b in rhs], [Fraction(0)] * m)
     for j in range(n):
-        dual.add({i: rows[i][j] for i in range(m)}, ">=", objective[j])
+        dual.add({i: -rows[i][j] for i in range(m)}, "<=", -objective[j])
     return dual
 
 
@@ -252,26 +239,22 @@ def reference_simplex(problem):
     None unless optimal, and trace lists every pivot as (row, column).
     """
     zero = Fraction(0)
-    n = problem.num_vars
     col_var = []  # (variable, sign): free variables get a +/- pair of columns
-    shift = []
     for i, lb in enumerate(problem.lower_bounds):
         col_var.append((i, 1))
         if lb is None:
             col_var.append((i, -1))
-        shift.append(zero if lb is None else lb)
     nstruct = len(col_var)
-    width = nstruct + sum(1 for con in problem.constraints if con.relation != "==")
+    width = nstruct + sum(1 for con in problem.constraints if con.relation == "<=")
 
     rows, rhs, slack_of = [], [], []
     for con in problem.constraints:
         coeffs, b = rational_row(con)
         row = [coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
-        b -= sum(coeffs.get(i, zero) * shift[i] for i in range(n))
         scol = None
-        if con.relation != "==":
+        if con.relation == "<=":
             scol = nstruct + sum(1 for s in slack_of if s is not None)
-            row[scol] = Fraction(1 if con.relation == "<=" else -1)
+            row[scol] = Fraction(1)
         if b < 0:
             row, b = [-v for v in row], -b
         rows.append(row)
@@ -346,7 +329,7 @@ def reference_simplex(problem):
     if simplex(cost) == "unbounded":
         return "unbounded", None, None, trace
 
-    x = list(shift)
+    x = [zero] * problem.num_vars
     for r, b in enumerate(basis):
         if b < nstruct:
             i, sign = col_var[b]
@@ -365,17 +348,11 @@ def reference_verify_point(problem, point):
     for idx, con in enumerate(problem.constraints):
         coeffs, b = rational_row(con)
         lhs = sum((c * x[i] for i, c in coeffs.items()), Fraction(0))
-        if con.relation == "<=":
-            ok = lhs <= b
-        elif con.relation == ">=":
-            ok = lhs >= b
-        else:
-            ok = lhs == b
-        if not ok:
+        if not (lhs <= b if con.relation == "<=" else lhs == b):
             rows.append(idx)
     bounds = [
         i for i, (v, lb) in enumerate(zip(x, problem.lower_bounds))
-        if lb is not None and v < lb
+        if lb is not None and v < 0
     ]
     return tuple(rows), tuple(bounds)
 

@@ -10,6 +10,7 @@ from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError
 from allocore.games import (
     ExplicitGame,
+    as_rational,
     over_common_denominator,
     satisfies_last_monotone,
     subset_sums,
@@ -233,6 +234,13 @@ def test_subset_sums_matches_direct(shares):
     sums = subset_sums(shares)
     for bits in range(1 << len(shares)):
         assert sums[bits] == coalition_sum(shares, bits)
+
+
+@pytest.mark.parametrize("value", [1.5, True, object()], ids=["float", "bool", "object"])
+def test_non_rationals_rejected(value):
+    for coerce in (as_rational, lambda v: ExplicitGame(1, [0, v])):
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            coerce(value)
 
 
 def test_over_common_denominator_cases():

@@ -92,6 +92,21 @@ class TestParsing:
         with pytest.raises(InstanceParseError, match="agent 3"):
             parse(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a fullwidth digit: str.isdigit and int accept it, the key format does not
+            (EXPLICIT_TEXT.replace('"2,3"', '"2,\\uff13"'), "malformed coalition key '2,\uff13'"),
+            (MST_TEXT.replace('"edges"', '"edge"'), "need an 'edges' array"),
+            (MST_TEXT.replace("[0, 2, 2]", "[0, true, 2]"), "edge #1: endpoints must be integers"),
+            (MST_TEXT.replace("[0, 2, 2]", "[0, 2.0, 2]"), "edge #1: endpoints must be integers"),
+        ],
+        ids=["non-ascii-key", "no-edges", "bool-endpoint", "float-endpoint"],
+    )
+    def test_malformed_input_rejected(self, text, message):
+        with pytest.raises(InstanceParseError, match=message):
+            parse(text)
+
     def test_json_errors_carry_line_numbers(self):
         with pytest.raises(InstanceParseError, match="line 2"):
             parse('{"format": "explicit",\n "n": }')
@@ -432,6 +447,9 @@ class TestCliSeparate:
         code, _, err = run_cli(capsys, "separate", path, "--point", "0,0")
         assert code == 4
         assert "3 agents" in err
+        code, _, err = run_cli(capsys, "separate", path, "--point=1,x,0")
+        assert code == 2
+        assert "bad --point value" in err
 
     def test_nonneg_variant(self, write, capsys, steiner):
         path = write("g.json", serialize(mst_instance_from_graph(steiner)))

@@ -49,7 +49,7 @@ def test_unbounded_without_constraints():
 def test_infeasible_pair():
     p = LpProblem(1, [1])
     p.add({0: 1}, "<=", 0)
-    p.add({0: 1}, ">=", 1)
+    p.add({0: -1}, "<=", -1)  # x0 >= 1
     assert solve(p).status is LpStatus.INFEASIBLE
 
 
@@ -70,12 +70,15 @@ def test_equality_with_free_variables():
     assert sum(sol.point) == -3
 
 
-def test_lower_bounds_shift():
-    p = LpProblem(2, [-1, -1], [5, "7/2"])  # minimize above shifted bounds
-    p.add({0: 1, 1: 1}, "<=", 100)
-    sol = solve(p)
-    assert sol.status is LpStatus.OPTIMAL
-    assert sol.point == (Fraction(5), Fraction(7, 2))
+def test_nonzero_lower_bounds_rejected():
+    for bound in (5, "7/2", -1):
+        with pytest.raises(ValueError, match="lower bound must be 0 or None"):
+            LpProblem(2, [-1, -1], [0, bound])
+    p = LpProblem(2, [-1, 0], ["0", None])  # minimize x0 >= 0; x1 is free
+    assert p.lower_bounds == [0, None]
+    p.add({0: -1, 1: -1}, "<=", -3)  # x0 + x1 >= 3
+    p.add({1: 1}, "<=", 2)
+    assert solve(p).point == (1, 2)
 
 
 def test_degenerate_cycling_guard():
@@ -98,23 +101,26 @@ def test_determinism_bit_for_bit(unbalanced3):
 
 def test_malformed_dimensions():
     p = LpProblem(2, [1, 1])
-    with pytest.raises(ValueError):
-        p.add({2: 1}, "<=", 0)  # index num_vars
-    with pytest.raises(ValueError):
-        p.add({-1: 1}, "<=", 0)
-    with pytest.raises(ValueError):
-        p.add({Fraction(1, 2): 1}, "<=", 0)
-    with pytest.raises(ValueError):
-        p.add({0: 1, 1: 2}, "<", 0)
+    for index in (2, -1, Fraction(1, 2), True):  # num_vars, negative, no int, a bool
+        with pytest.raises(ValueError, match="variable index"):
+            p.add({index: 1}, "<=", 0)
+    for relation in ("<", ">="):
+        with pytest.raises(ValueError, match="relation must be one of"):
+            p.add({0: 1, 1: 2}, relation, 0)
+    with pytest.raises(TypeError, match="got bool"):
+        p.add({0: True}, "<=", 0)
     assert p.constraints == []
     p.add({1: 3, 0: 0}, "<=", 1)
-    p.add({1: "2/3", 0: -1}, ">=", 0)
+    p.add({1: "2/3", 0: -1}, "<=", 0)
     first, second = p.constraints
     assert (first.coef, first.rhs, first.den) == ({1: 3}, 1, 1)  # the zero is not stored
-    # -x0 + 2/3 x1 >= 0 is stored over its denominator 3
+    # -x0 + 2/3 x1 <= 0 is stored over its denominator 3
     assert (list(second.coef.items()), second.rhs, second.den) == ([(0, -3), (1, 2)], 0, 3)
-    with pytest.raises(ValueError):
-        LpProblem(2, [1])
+    for args in ((2, [1]), (-1, []), (2, [1, 1], [0])):  # objective, num_vars, bounds
+        with pytest.raises(ValueError):
+            LpProblem(*args)
+    with pytest.raises(TypeError, match="got bool"):
+        LpProblem(1, [False])
     with pytest.raises(ValueError):
         verify_point(p, [1])
 
@@ -153,11 +159,8 @@ def test_strong_duality_on_random_canonical_programs():
         rows = [[Fraction(rng.randint(-2, 5)) for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(0, 9)) for _ in range(m)]
         # a box keeps the primal bounded, so both sides are optimal
-        for i in range(n):
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
-            rows.append(unit)
-            rhs.append(Fraction(6))
+        rows += [[Fraction(int(k == i)) for k in range(n)] for i in range(n)]
+        rhs += [Fraction(6)] * n
         primal = LpProblem(n, objective, [Fraction(0)] * n)
         for row, b in zip(rows, rhs):
             primal.add(dict(enumerate(row)), "<=", b)
@@ -179,14 +182,8 @@ def test_optimum_matches_vertex_enumeration():
         rows = [[Fraction(rng.randint(-3, 5)) for _ in range(n)] for _ in range(m)]
         rhs = [Fraction(rng.randint(0, 8)) for _ in range(m)]
         for i in range(n):  # box: 0 <= x <= 4
-            unit = [Fraction(0)] * n
-            unit[i] = Fraction(1)
-            rows.append(unit)
-            rhs.append(Fraction(4))
-            neg = [Fraction(0)] * n
-            neg[i] = Fraction(-1)
-            rows.append(neg)
-            rhs.append(Fraction(0))
+            rows += [[Fraction(sign * (k == i)) for k in range(n)] for sign in (1, -1)]
+            rhs += [Fraction(4), Fraction(0)]
         problem = LpProblem(n, objective)
         for row, b in zip(rows, rhs):
             problem.add(dict(enumerate(row)), "<=", b)
@@ -210,7 +207,7 @@ def test_optimal_points_pass_verify(data):
     for _ in range(m):
         problem.add(
             dict(enumerate(data.draw(st.lists(frac, min_size=n, max_size=n)))),
-            data.draw(st.sampled_from(["<=", ">=", "=="])),
+            data.draw(st.sampled_from(["<=", "=="])),
             data.draw(frac),
         )
     for i in range(n):
@@ -255,16 +252,15 @@ def test_stored_row_is_the_input_over_its_lcm(coeffs, rhs):
 
 @st.composite
 def mixed_programs(draw):
-    """LPs with mixed relations, negative right-hand sides, free and shifted
-    variables, and redundant or contradicting equality rows."""
+    """LPs with <= and == rows, negative right-hand sides, free and
+    nonnegative variables, and redundant or contradicting equality rows."""
     n = draw(st.integers(1, 4))
-    bounds = draw(st.lists(st.none() | st.just(Fraction(0)) | coprime_fractions,
-                           min_size=n, max_size=n))
+    bounds = draw(st.lists(st.none() | st.just(Fraction(0)), min_size=n, max_size=n))
     problem = LpProblem(n, draw(st.lists(coprime_fractions, min_size=n, max_size=n)), bounds)
     for _ in range(draw(st.integers(0, 5))):
         problem.add(
             dict(enumerate(draw(st.lists(coprime_fractions, min_size=n, max_size=n)))),
-            draw(st.sampled_from(["<=", ">=", "=="])),
+            draw(st.sampled_from(["<=", "=="])),
             draw(coprime_fractions),
         )
     equalities = [con for con in problem.constraints if con.relation == "=="]
@@ -282,7 +278,7 @@ def mixed_programs(draw):
     if draw(st.booleans()):  # a box keeps most of these bounded
         for i in range(n):
             problem.add({i: Fraction(1)}, "<=", Fraction(5))
-            problem.add({i: Fraction(1)}, ">=", Fraction(-5))
+            problem.add({i: Fraction(-1)}, "<=", Fraction(5))
     return problem
 
 
@@ -344,7 +340,7 @@ def assert_optimal_vertex(problem, sol):
     for i, lb in enumerate(problem.lower_bounds):
         if lb is not None:
             rows.append([Fraction(-(k == i)) for k in range(n)])
-            rhs.append(-lb)
+            rhs.append(lb)
             rels.append("<=")
     best, argmax = polyhedron_max(problem.objective, rows, rhs, rels)
     assert sol.value == best

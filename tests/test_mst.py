@@ -41,6 +41,8 @@ class TestGraphInstance:
             GraphInstance(1, [[0, -1], [-1, 0]])
         with pytest.raises(ValueError):
             GraphInstance(2, [[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="need at least one agent"):
+            GraphInstance(0, [[0]])
 
     def test_from_edges_completion_never_enters_a_tree(self):
         # a path 0-1-2; the missing edge 0-2 is filled with something huge
@@ -58,6 +60,8 @@ class TestGraphInstance:
             GraphInstance.from_edges(1, [(0, 1, 1), (1, 0, 2)])
         with pytest.raises(ValueError, match="bad edge"):
             GraphInstance.from_edges(1, [(1, 1, 1)])
+        with pytest.raises(ValueError, match="negative weight on edge"):
+            GraphInstance.from_edges(1, [(0, 1, -1)])
 
 
 class TestMstCost:

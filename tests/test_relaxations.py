@@ -14,7 +14,7 @@ from allocore.generators import (
     random_graph,
     random_last_monotone_game,
 )
-from allocore.lp import LpProblem, LpStatus, solve, verify_point
+from allocore.lp import LpStatus, solve, verify_point
 from allocore.mstgame import MstGame, granot_huberman
 from allocore.relaxations import (
     SeparationResult,
@@ -199,13 +199,10 @@ class TestExtendedCore:
         assert all(v >= 0 for v in t)
         assert sum(x) == unbalanced3.grand_cost()
         # audit the witness against the raw program
-        n = 3
-        problem = LpProblem(2 * n, [0] * n + [-1] * n, [None] * n + [Fraction(0)] * n)
-        for bits in range(1, (1 << n) - 1):
-            row = {i: Fraction(int(bool(bits >> i & 1))) for i in range(n)}
-            row |= {n + i: -v for i, v in row.items()}
-            problem.add(row, "<=", unbalanced3.cost_bits(bits))
-        problem.add({i: 1 for i in range(n)}, "==", unbalanced3.grand_cost())
+        problem = dense_coalition_program(
+            unbalanced3, [0] * 3 + [-1] * 3, [None] * 3 + [0] * 3,
+            extra=lambda bits: {3 + i: -1 for i in range(3) if bits >> i & 1}, grand="==",
+        )
         assert verify_point(problem, list(x) + list(t)).feasible
 
     def test_balanced_needs_no_subsidy(self, tight_quarter):
@@ -422,8 +419,9 @@ class TestSeparation:
             for point in ([0, 0, 0, 100], [1, 1], [-1, 0]):
                 with pytest.raises(ValueError):
                     oracle(point)
-        with pytest.raises(ValueError):
-            separate_almost_core([0, 0, 0, 100], brute_force_core_oracle(game), game.grand_cost())
+        for point in ([0, 0, 0, 100], []):  # [] is within budget: its one query is [] itself
+            with pytest.raises(ValueError):
+                separate_almost_core(point, brute_force_core_oracle(game), game.grand_cost())
         with pytest.raises(ValueError, match="point has 4 entries, the game has 3 agents"):
             separate_almost_core_nonneg([0, 0, 0, 100], brute_force_nonneg_core_oracle(game), game)
 
@@ -524,13 +522,13 @@ class TestLiftQueries:
         assert separate_almost_core(x, oracle, game.grand_cost()).member
         assert queries == [x[:k] + (x[k] - over,) + x[k + 1 :] for k in range(3)]
 
-    def test_no_agents_no_query(self):
+    def test_no_agents_one_empty_query(self):
         game = ExplicitGame(0, [0])
         oracle, queries = _counting(brute_force_core_oracle(game))
         assert separate_almost_core([], oracle, game.grand_cost()).member
         oracle, queries_nonneg = _counting(brute_force_nonneg_core_oracle(game))
         assert separate_almost_core_nonneg([], oracle, game).member
-        assert queries == queries_nonneg == []
+        assert queries == queries_nonneg == [()]
 
     @pytest.mark.parametrize(
         "report",
