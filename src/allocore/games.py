@@ -94,6 +94,8 @@ class ExplicitGame(Game):
     """A game backed by an explicit 2^n cost table indexed by bitmask."""
 
     def __init__(self, n: int, costs: Sequence[object]):
+        if isinstance(n, bool):
+            raise TypeError("n must be an int, got bool")
         check_enum_limit(n, "an explicit cost table")
         table = tuple(map(as_rational, costs))
         if len(table) != 1 << n:

@@ -2,9 +2,14 @@
 
 A two-phase primal simplex with Bland's anti-cycling rule. Problems are
 stated as maximization over <= and == rows, each variable either free
-(lower bound None) or nonnegative (lower bound 0). Free variables are
-split into differences of nonnegatives internally, so every returned
-optimum is a vertex of the feasible region augmented by the x >= 0 bounds.
+(lower bound None) or nonnegative (lower bound 0). A free variable is the
+difference of a positive and a negative part, both nonnegative, so every
+returned optimum is a vertex of the feasible region augmented by the
+x >= 0 bounds. The negative part has a virtual column, the index after the
+positive part's, and is never stored: row operations keep it -1 times the
+positive part's column in every row and in the cost row, so entering,
+the ratio test and the pivot read that column with sign -1. Basis, pivot
+trace and column order are in virtual indices, those of the split tableau.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
@@ -20,10 +25,14 @@ the rows with a nonzero in the pivot column and does only integer
 arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is
 divided by the gcd of its entries). Every tableau entry is the same
 rational as in a dense Fraction tableau, so the pivot choices, and the
-returned values, are those of the textbook method; values are handed back
-as fractions.Fraction and every optimum is checked with verify_point,
-which also compares integers: each stored row against the point over its
-common denominator. No floating point is used
+returned values, are those of the textbook method. The optimum is read out
+on integers: a variable's two parts are never both basic, so x is the
+basic right-hand sides over p, the lcm of those rows' denominators, and
+its value is one integer dot product with the objective over its common
+denominator d, divided by d * p. Values are handed back as
+fractions.Fraction, one built per nonzero coordinate, and every optimum is
+checked with verify_point, which also compares integers: each stored row
+against the point over its common denominator. No floating point is used
 anywhere. Column and row order are fixed and there is no presolve, so
 identical problems give identical solutions.
 """
@@ -34,7 +43,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -84,6 +93,8 @@ class LpProblem:
         objective: Sequence[object],
         lower_bounds: Sequence[object | None] | None = None,
     ):
+        if isinstance(num_vars, bool):
+            raise TypeError("num_vars must be an int, got bool")
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
@@ -115,7 +126,7 @@ class LpProblem:
                 raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
             ascending = ascending and i > last
             last = i
-            c = as_rational(v)
+            c = v if type(v) is int else as_rational(v)  # a bool is no int here, so it still fails
             if c:
                 row[i] = c
         if not ascending:
@@ -145,7 +156,8 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
     xs, p = over_common_denominator(x)
     bad_rows = []
     for idx, con in enumerate(problem.constraints):
-        lhs = sum(c * xs[i] for i, c in con.coef.items())
+        coef = con.coef
+        lhs = sum(map(operator.mul, coef.values(), map(xs.__getitem__, coef)))
         if not _HOLDS[con.relation](lhs, con.rhs * p):
             bad_rows.append(idx)
     bad_bounds = [
@@ -157,8 +169,8 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
 
 
 class _Row:
-    """A tableau row: column j holds coef[j] / den and the right-hand side is
-    rhs / den, with den > 0. Only nonzero entries are stored."""
+    """A tableau row: stored column j holds coef[j] / den and the right-hand
+    side is rhs / den, with den > 0. Only nonzero entries are stored."""
 
     __slots__ = ("coef", "rhs", "den")
 
@@ -167,84 +179,100 @@ class _Row:
         self.rhs = rhs
         self.den = den
 
-    def reduce(self) -> None:
-        """Divide the row by the gcd of its denominator and numerators."""
-        if self.den == 1:
-            return
-        g = gcd(self.den, self.rhs, *self.coef.values())
-        if g > 1:
-            self.coef = {j: v // g for j, v in self.coef.items()}
-            self.rhs //= g
-            self.den //= g
-
-    def eliminate(self, prow: _Row, c: int) -> None:
-        """Subtract the multiple of prow that clears column c; prow reads 1 there."""
-        coef = self.coef
-        f = coef.pop(c)
+    def eliminate(self, prow: _Row, c: int, sign: int) -> None:
+        """Subtract the multiple of prow that clears stored column c, then
+        divide by the gcd of the denominator and numerators. prow reads 1 in
+        the pivot's virtual column, so prow.coef[c] is sign * prow.den, sign
+        being -1 when that column is the negative part of c."""
         p = prow.den
-        if p != 1:
-            for j in coef:
-                coef[j] *= p
-        for j, v in prow.coef.items():
-            if j != c:
-                w = coef.get(j, 0) - f * v
-                if w:
-                    coef[j] = w
-                else:
-                    del coef[j]
-        self.rhs = p * self.rhs - f * prow.rhs
-        self.den *= p
-        self.reduce()
+        f = self.coef[c] if sign > 0 else -self.coef[c]
+        coef = {j: v * p for j, v in self.coef.items()} if p != 1 else self.coef
+        for j, v in prow.coef.items():  # column c nets f * p - f * p = 0
+            w = coef.get(j, 0) - f * v
+            if w:
+                coef[j] = w
+            else:
+                del coef[j]
+        rhs = p * self.rhs - f * prow.rhs
+        den = self.den * p
+        if den != 1:
+            g = gcd(den, rhs, *coef.values())
+            if g > 1:
+                coef = {j: v // g for j, v in coef.items()}
+                rhs //= g
+                den //= g
+        self.coef, self.rhs, self.den = coef, rhs, den
 
 
 class _Tableau:
-    """Simplex tableau. Column basis[r] reads 1 in row r and 0 in every other
-    row; cost holds the reduced costs, whose signs pick the entering column."""
+    """Simplex tableau over virtual columns. Column basis[r] reads 1 in row r
+    and 0 in every other row; cost holds the reduced costs, whose signs pick
+    the entering column. A free variable's negative part, the virtual column
+    after its positive part j, is -1 times column j in every row and in the
+    cost row, so only column j is stored; ``free`` holds those j."""
 
-    def __init__(self, rows: list[_Row], basis: list[int], cost: _Row):
+    def __init__(self, rows: list[_Row], basis: list[int], cost: _Row, free: frozenset[int]):
         """Take the objective row ``cost`` and price it out against the basic
         columns, so that it holds the reduced costs."""
         self.rows = rows
         self.basis = basis
         self.cost = cost
+        self.free = free
         for row, bcol in zip(rows, basis):
-            if bcol in cost.coef:
-                cost.eliminate(row, bcol)
+            c, sign = self.stored(bcol)
+            if c in cost.coef:
+                cost.eliminate(row, c, sign)
+
+    def stored(self, c: int) -> tuple[int, int]:
+        """(stored column, sign) of virtual column c."""
+        return (c - 1, -1) if c - 1 in self.free else (c, 1)
 
     def pivot(self, r: int, c: int) -> None:
-        """Pivot on (r, c): scale row r to read 1 in column c, then clear
-        column c from every other row and from the cost row."""
+        """Pivot on (r, c), c a virtual column: scale row r to read 1 in
+        column c, then clear column c from every other row and from the
+        cost row."""
+        col, sign = self.stored(c)
         prow = self.rows[r]
-        p = prow.coef[c]
+        p = prow.coef[col] * sign
         if p < 0:
             prow.coef = {j: -v for j, v in prow.coef.items()}
             prow.rhs = -prow.rhs
             p = -p
+        if p != 1:
+            g = gcd(p, prow.rhs, *prow.coef.values())
+            if g > 1:
+                prow.coef = {j: v // g for j, v in prow.coef.items()}
+                prow.rhs //= g
+                p //= g
         prow.den = p
-        prow.reduce()
         for i, row in enumerate(self.rows):
-            if i != r and c in row.coef:
-                row.eliminate(prow, c)
-        if c in self.cost.coef:
-            self.cost.eliminate(prow, c)
+            if i != r and col in row.coef:
+                row.eliminate(prow, col, sign)
+        if col in self.cost.coef:
+            self.cost.eliminate(prow, col, sign)
         self.basis[r] = c
 
     def run_simplex(self) -> str:
         """Bland-rule primal simplex; mutates the tableau in place.
 
         Returns "optimal" or "unbounded". The entering column is the smallest
-        one with a positive reduced cost; the leaving row has the smallest
-        ratio rhs / a over rows with a > 0 (row denominators cancel), ties
-        going to the smaller basis index.
+        virtual one with a positive reduced cost (a free column's negative
+        reduced cost offers its negative part); the leaving row has the
+        smallest ratio rhs / a over rows with a > 0 (row denominators
+        cancel), ties going to the smaller basis index.
         """
-        rows, basis = self.rows, self.basis
+        rows, basis, free = self.rows, self.basis, self.free
         while True:
-            enter = min((j for j, v in self.cost.coef.items() if v > 0), default=-1)
+            enter = min(
+                (j if v > 0 else j + 1 for j, v in self.cost.coef.items() if v > 0 or j in free),
+                default=-1,
+            )
             if enter < 0:
                 return "optimal"
+            col, sign = self.stored(enter)
             leave = -1
             for r, row in enumerate(rows):
-                a = row.coef.get(enter, 0)
+                a = sign * row.coef.get(col, 0)
                 if a > 0:
                     if leave < 0:
                         leave, best_rhs, best_a = r, row.rhs, a
@@ -262,8 +290,8 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Deterministic: identical problems yield bit-identical solutions.
     """
-    # Column layout: one column per nonnegative variable, two per free
-    # variable (positive and negative parts).
+    # Virtual column layout: one column per nonnegative variable, two per
+    # free variable (positive and negative parts); only the first is stored.
     col_var: list[tuple[int, int]] = []  # (variable index, sign)
     first_col: list[int] = []
     for i, lb in enumerate(problem.lower_bounds):
@@ -272,15 +300,7 @@ def solve(problem: LpProblem) -> LpSolution:
         if lb is None:
             col_var.append((i, -1))
     nstruct = len(col_var)
-
-    def columns(coef: Mapping[int, int]) -> dict[int, int]:
-        """The nonzero integers of a row or objective, by column."""
-        entries = {}
-        for i, c in coef.items():
-            entries[first_col[i]] = c
-            if problem.lower_bounds[i] is None:
-                entries[first_col[i] + 1] = -c
-        return entries
+    free = frozenset(first_col[i] for i, lb in enumerate(problem.lower_bounds) if lb is None)
 
     # Each <= row gets a slack column, +1 over the row's den; a row with a
     # negative rhs is negated. Its basic column is then the slack when it
@@ -291,7 +311,7 @@ def solve(problem: LpProblem) -> LpSolution:
     art_rows: list[int] = []
     scol = nstruct
     for r, con in enumerate(problem.constraints):
-        row = _Row(columns(con.coef), con.rhs, con.den)
+        row = _Row({first_col[i]: c for i, c in con.coef.items()}, con.rhs, con.den)
         if con.relation == LE:
             row.coef[scol] = con.den
             scol += 1
@@ -309,7 +329,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if art_rows:
         # Phase 1: maximize -(sum of artificials).
         cost = _Row({width + k: -1 for k in range(len(art_rows))}, 0, 1)
-        tab = _Tableau(rows, basis, cost)
+        tab = _Tableau(rows, basis, cost, free)
         verdict = tab.run_simplex()
         if verdict != "optimal":  # the phase-1 objective is bounded by 0
             raise AssertionError("phase 1 cannot be unbounded")
@@ -318,6 +338,8 @@ def solve(problem: LpProblem) -> LpSolution:
         if any(row.rhs for row, bcol in zip(rows, basis) if bcol >= width):
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis; drop redundant rows.
+        # A stored column precedes its virtual negative part, so the smallest
+        # stored real column is the smallest nonzero virtual one.
         r = 0
         while r < len(rows):
             if basis[r] >= width:
@@ -332,19 +354,21 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # Phase 2: the real objective over the current basis.
     obj, d = over_common_denominator(problem.objective)
-    cost = _Row(columns({i: c for i, c in enumerate(obj) if c}), 0, d)
-    tab = _Tableau(rows, basis, cost)
+    cost = _Row({first_col[i]: c for i, c in enumerate(obj) if c}, 0, d)
+    tab = _Tableau(rows, basis, cost, free)
     verdict = tab.run_simplex()
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    x = [_ZERO] * problem.num_vars
-    for row, bcol in zip(rows, basis):
-        if bcol < nstruct and row.rhs:
-            i, sign = col_var[bcol]
-            x[i] += Fraction(sign * row.rhs, row.den)
-    value = sum((c * v for c, v in zip(problem.objective, x) if c), _ZERO)
-    point = tuple(x)
+    # x as integers over p: a variable's two columns are never both basic.
+    basic = [(row, bcol) for row, bcol in zip(rows, basis) if bcol < nstruct and row.rhs]
+    p = lcm(*(row.den for row, _ in basic))
+    xs = [0] * problem.num_vars
+    for row, bcol in basic:
+        i, sign = col_var[bcol]
+        xs[i] = sign * row.rhs * (p // row.den)
+    value = Fraction(sum(map(operator.mul, obj, xs)), d * p)
+    point = tuple(Fraction(v, p) if v else _ZERO for v in xs)
 
     check = verify_point(problem, point)
     if not check.feasible:  # exact arithmetic: this would be a solver bug

@@ -58,6 +58,8 @@ class GraphInstance:
     """
 
     def __init__(self, n: int, weights: Sequence[Sequence[object]]):
+        if isinstance(n, bool):
+            raise TypeError("n must be an int, got bool")
         if n < 1:
             raise ValueError("need at least one agent")
         if len(weights) != n + 1 or any(len(row) != n + 1 for row in weights):

@@ -96,15 +96,18 @@ def _solve_coalitions(
     full = (1 << n) - 1
     problem = LpProblem(len(objective), objective, bounds)
 
+    # the table first: an MstGame then reads the seed rows' costs from it
+    table, d = game.scaled_table()
+
     def add(bits: int, rel: str) -> None:
         members = bits_members(bits)
-        row = dict.fromkeys((i - 1 for i in members), _ONE)
+        row = dict.fromkeys((i - 1 for i in members), 1)
         if bits != full:
             if debit is not None:
                 for i in members:
-                    row[debit[i - 1]] = row.get(debit[i - 1], _ZERO) - _ONE
+                    row[debit[i - 1]] = row.get(debit[i - 1], 0) - 1
             if slack is not None:
-                row[slack] = -_ONE
+                row[slack] = -1
         problem.add(row, rel, game.cost_bits(bits))
 
     working = {1 << i for i in range(n)} - {full}
@@ -112,7 +115,6 @@ def _solve_coalitions(
         add(bits, "<=")
     if grand is not None:
         add(full, grand)
-    table, d = game.scaled_table()
     while True:
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
@@ -122,7 +124,7 @@ def _solve_coalitions(
         factor = scale // d
         excess = [a - off - factor * c for a, c in zip(subset_sums(shares), table)]
         violated = heapq.nlargest(
-            n, (b for b in range(1, full) if excess[b] > 0), key=excess.__getitem__
+            n, [b for b in range(1, full) if excess[b] > 0], key=excess.__getitem__
         )
         if not violated:
             return solution

@@ -58,6 +58,8 @@ class TestConstruction:
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
             ExplicitGame(2, [0, 1, 2])
+        with pytest.raises(TypeError, match="n must be an int, got bool"):
+            ExplicitGame(True, [0, 1])
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):

@@ -5,8 +5,11 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import allocore.relaxations
+from allocore.generators import WEIGHT_MODELS, random_empty_core_game, random_graph
 from allocore.lp import LpProblem, LpStatus, VerifyResult, _Tableau, solve, verify_point
 from allocore.mstgame import MstGame
+from allocore.relaxations import almost_core_optimum, full_report
 
 from _oracles import (
     almost_core_problem,
@@ -121,6 +124,8 @@ def test_malformed_dimensions():
             LpProblem(*args)
     with pytest.raises(TypeError, match="got bool"):
         LpProblem(1, [False])
+    with pytest.raises(TypeError, match="num_vars must be an int, got bool"):
+        LpProblem(True, [1], [0])
     with pytest.raises(ValueError):
         verify_point(p, [1])
 
@@ -293,6 +298,29 @@ def test_same_pivots_and_result_as_reference_simplex(problem):
     assert trace == expected_trace
     if sol.is_optimal:
         assert verify_point(problem, sol.point).feasible
+
+
+def test_coalition_programs_pivot_as_reference_simplex(monkeypatch):
+    # every working set that row generation solves: phase 1 over == rows and
+    # free variables in full_report, phase 2 only in the nonnegative program
+    checked = []
+
+    def checking(problem):
+        sol, trace = traced_solve(problem)
+        status, value, point, expected_trace = reference_simplex(problem)
+        assert (sol.status.value, sol.value, sol.point) == (status, value, point)
+        assert trace == expected_trace
+        checked.append(problem)
+        return sol
+
+    monkeypatch.setattr(allocore.relaxations, "solve", checking)
+    rng = Random(95)
+    for _ in range(2):
+        full_report(random_empty_core_game(rng, 6))
+    for model in WEIGHT_MODELS:
+        almost_core_optimum(MstGame(random_graph(rng, 7, model)), True)
+    with_equalities = [p for p in checked if any(con.relation == "==" for con in p.constraints)]
+    assert with_equalities and max(p.lower_bounds.count(None) for p in with_equalities) == 6
 
 
 # Points whose denominators mostly do not divide the rows' denominators.

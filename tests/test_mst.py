@@ -43,6 +43,8 @@ class TestGraphInstance:
             GraphInstance(2, [[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="need at least one agent"):
             GraphInstance(0, [[0]])
+        with pytest.raises(TypeError, match="n must be an int, got bool"):
+            GraphInstance(True, [[0, 1], [1, 0]])
 
     def test_from_edges_completion_never_enters_a_tree(self):
         # a path 0-1-2; the missing edge 0-2 is filled with something huge
@@ -409,6 +411,19 @@ def test_mst_game_table_reads_the_graph_table(kind, monkeypatch):
             assert table == (graph.monotonized_table() if monotonized else graph.cost_table())
             scaled, d = game.scaled_table()  # what the oracles and row generation read
             assert tuple(Fraction(v, d) for v in scaled) == table
+
+
+@pytest.mark.parametrize("model", WEIGHT_MODELS)
+def test_nonneg_almost_core_after_the_approximation_runs_no_prim(model, monkeypatch):
+    # the row builder reads the table before its seed rows, so the bench
+    # operation's LP takes every cost from the leaf-removal table
+    graph = random_graph(Random(len(model)), 7, model)
+    almost_core_approx(graph)
+    trees = []
+    tree = GraphInstance._tree
+    monkeypatch.setattr(GraphInstance, "_tree", lambda self, v: trees.append(v) or tree(self, v))
+    almost_core_optimum(MstGame(graph), True)
+    assert trees == []
 
 
 def expected_separation(scan, n):
