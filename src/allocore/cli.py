@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from random import Random
 
@@ -72,8 +71,8 @@ def _emit(result: dict, decimal: bool) -> None:
 
 
 def _fields(record, *skip: str) -> dict:
-    """A dataclass's fields in declaration order, without those in ``skip``."""
-    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+    """A record's fields in declaration order, without those in ``skip``."""
+    return {name: value for name, value in zip(record._fields, record) if name not in skip}
 
 
 def cmd_analyze(args) -> int:

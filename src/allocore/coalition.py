@@ -7,22 +7,35 @@ coalition (it is reserved for the supplier node of spanning-tree instances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Coalition:
-    """A subset of the agents {1, ..., n}, stored as a bitmask."""
-
+class _CoalitionFields(NamedTuple):
     bits: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+
+class Coalition(_CoalitionFields):
+    """A subset of the agents {1, ..., n}, stored as a bitmask.
+
+    Every way of building one (the constructor, ``_make`` and ``_replace``)
+    checks that ``bits`` fits in ``n`` agents.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, n: int) -> "Coalition":
+        return cls._make((bits, n))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Coalition":
+        # the one place a Coalition is built: _replace calls it too
+        bits, n = iterable
+        if n < 0:
             raise ValueError("agent count must be nonnegative")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bitmask {self.bits} out of range for n={self.n}")
+        if not 0 <= bits < (1 << n):
+            raise ValueError(f"bitmask {bits} out of range for n={n}")
+        return super()._make((bits, n))
 
     @classmethod
     def from_members(cls, members: Iterable[int], n: int) -> "Coalition":

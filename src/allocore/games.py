@@ -65,6 +65,7 @@ class Game:
     """Base class: deterministic coalition cost evaluation for n agents."""
 
     n: int
+    _scaled: tuple[tuple[int, ...], int] | None = None
 
     def cost_bits(self, bits: int) -> Fraction:
         raise NotImplementedError
@@ -86,8 +87,13 @@ class Game:
 
     def scaled_table(self) -> tuple[Sequence[int], int]:
         """(D * table, D): the cost table as integers over one common
-        denominator D, the lcm of the entries' denominators."""
-        return over_common_denominator(self.table())
+        denominator D, the lcm of the entries' denominators. Computed on
+        the first call and kept: every coalition program and oracle of one
+        game reads the same scaling."""
+        if self._scaled is None:
+            nums, d = over_common_denominator(self.table())
+            self._scaled = (tuple(nums), d)
+        return self._scaled
 
 
 class ExplicitGame(Game):

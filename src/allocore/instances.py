@@ -23,8 +23,8 @@ trips are the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InstanceParseError, PreconditionError
 from .games import ENUM_LIMIT, ExplicitGame, Game, as_rational
@@ -34,8 +34,7 @@ EXPLICIT = "explicit"
 MST = "mst"
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(NamedTuple):
     """Parsed contents of an instance file, in canonical order."""
 
     format: str

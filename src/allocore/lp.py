@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .games import as_rational, over_common_denominator
 
@@ -57,8 +56,7 @@ _RELATIONS = (LE, EQ)
 _HOLDS = {LE: operator.le, EQ: operator.eq}
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+class Constraint(NamedTuple):
     """The row sum(coef[i] * x_i) (relation) rhs, every number over den > 0."""
 
     coef: Mapping[int, int]  # read-only; nonzeros only, ascending variable index
@@ -73,8 +71,7 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True, slots=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: LpStatus
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
@@ -136,8 +133,7 @@ class LpProblem:
         self.constraints.append(Constraint(coef, relation, nums[-1], den))
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     feasible: bool
     violated_constraints: tuple[int, ...]
     violated_bounds: tuple[int, ...]

@@ -30,10 +30,9 @@ sweep, ``MstGame.table`` and ``MstGame.scaled_table`` read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .coalition import bits_members
 from .errors import EnumerationLimitError, PreconditionError
@@ -302,8 +301,7 @@ def granot_huberman(graph: GraphInstance) -> tuple[Fraction, ...]:
     return tuple(shares)
 
 
-@dataclass(frozen=True, slots=True)
-class ApproxTrace:
+class ApproxTrace(NamedTuple):
     """Reproducible record of one 2-approximation run."""
 
     insertion_order: tuple[int, ...]

@@ -42,7 +42,6 @@ n = 12 and 45 to 112 of 16382 at n = 14.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -254,8 +253,7 @@ def extended_core_delta(
     return -solution.value, (solution.point[:n], solution.point[n:])
 
 
-@dataclass(frozen=True, slots=True)
-class RelaxationReport:
+class RelaxationReport(NamedTuple):
     """Every relaxation optimum for one game (see :func:`full_report`).
 
     Each ``*_allocation`` field, ``extended_core_x`` and ``extended_core_t``
@@ -348,8 +346,7 @@ def full_report(game: Game) -> RelaxationReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationResult:
+class SeparationResult(NamedTuple):
     """Outcome of a membership query: member, or one violated constraint."""
 
     member: bool

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -6,6 +5,10 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+import allocore.games
+import allocore.lp
+import allocore.mstgame
+import allocore.relaxations
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError
 from allocore.games import (
@@ -15,7 +18,7 @@ from allocore.games import (
     satisfies_last_monotone,
     subset_sums,
 )
-from allocore.generators import random_explicit_game, random_graph
+from allocore.generators import random_empty_core_game, random_explicit_game, random_graph
 from allocore.mstgame import GraphInstance, MstGame, almost_core_approx, granot_huberman
 from allocore.relaxations import (
     almost_core_optimum,
@@ -229,6 +232,27 @@ class TestTables:
         game = ExplicitGame(steiner.n, steiner.monotonized_table())
         assert game.table() == steiner.monotonized_table()
 
+    def test_explicit_scaled_table_is_kept(self):
+        game = ExplicitGame(2, [0, Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)])
+        nums, d = game.scaled_table()
+        assert game.scaled_table() is game.scaled_table()
+        assert (list(nums), d) == over_common_denominator(game.table())
+
+    def test_full_report_scales_an_explicit_table_once(self, monkeypatch):
+        # a fresh game: the generator's core test has already scaled its own
+        game = ExplicitGame(6, random_empty_core_game(Random(2), 6).table())
+        full_tables = []
+
+        def counting(values, base=1):
+            if len(values) == 1 << game.n:
+                full_tables.append(base)
+            return over_common_denominator(values, base)
+
+        for module in (allocore.games, allocore.lp, allocore.relaxations, allocore.mstgame):
+            monkeypatch.setattr(module, "over_common_denominator", counting)
+        full_report(game)
+        assert full_tables == [1]
+
 
 @given(st.lists(st.fractions(), min_size=0, max_size=6))
 def test_subset_sums_matches_direct(shares):
@@ -280,9 +304,9 @@ def test_share_vectors_are_tuples_of_fractions(unbalanced3, tight_quarter):
             gamma_approx(game)[1],
             *extended_core_delta(game)[1],
             *([core] if has_core else []),
-            *(getattr(report, f.name) for f in fields(report)
-              if f.name.endswith(("_allocation", "_x", "_t"))
-              and getattr(report, f.name) is not None),
+            *(getattr(report, name) for name in report._fields
+              if name.endswith(("_allocation", "_x", "_t"))
+              and getattr(report, name) is not None),
         ]
         for x in vectors:
             check(x)

@@ -1,8 +1,19 @@
 import ast
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import allocore
+from allocore import instances
+from allocore.coalition import Coalition
+from allocore.games import satisfies_last_monotone
+from allocore.generators import empty_core_game, steiner_counterexample_instance
+from allocore.lp import Constraint, LpProblem, solve, verify_point
+from allocore.mstgame import almost_core_approx
+from allocore.relaxations import brute_force_core_oracle, full_report
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -97,3 +108,94 @@ def test_every_private_name_is_read_in_the_package():
         if name.startswith("_") and not name.endswith("__") and name not in read
     ]
     assert unread == []
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # -S keeps site hooks, which may import anything, out of the child
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import allocore, allocore.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
+
+
+def _problem():
+    problem = LpProblem(3, [1, 0, 1], [0, None, 0])
+    problem.add({0: 1, 2: Fraction(-1, 2)}, "<=", 3)
+    problem.add({0: 1, 1: 1, 2: 1}, "<=", 4)
+    return problem
+
+
+# Each factory builds a fresh record from equal inputs, with the fields in
+# the order the CLI prints them and the golden files record them.
+RECORDS = [
+    (lambda: Coalition(5, 3), ("bits", "n"), {}),
+    (lambda: _problem().constraints[0], ("coef", "relation", "rhs", "den"), {}),
+    (lambda: solve(_problem()), ("status", "value", "point"), {"value": None, "point": None}),
+    (
+        lambda: verify_point(_problem(), [9, 0, -1]),
+        ("feasible", "violated_constraints", "violated_bounds"),
+        {},
+    ),
+    (
+        lambda: instances.explicit_instance_from_table(2, [0, 1, Fraction(1, 2), 1]),
+        ("format", "n", "costs", "default", "edges"),
+        {"costs": None, "default": None, "edges": None},
+    ),
+    (
+        lambda: almost_core_approx(steiner_counterexample_instance())[1],
+        ("insertion_order", "tree_edges", "pre_update_shares", "last_agent", "argmin_k",
+         "final_shares"),
+        {},
+    ),
+    (
+        lambda: full_report(empty_core_game()),
+        ("n", "c_grand", "core_nonempty", "core_allocation", "ac_opt", "ac_opt_allocation",
+         "ac_opt_nonneg", "ac_opt_nonneg_allocation", "eps_strong", "eps_strong_allocation",
+         "eps_weak", "eps_weak_allocation", "eps_mult", "eps_mult_allocation", "gamma_approx",
+         "gamma_allocation", "cost_of_stability", "extended_core_delta", "extended_core_x",
+         "extended_core_t"),
+        {},
+    ),
+    (
+        lambda: brute_force_core_oracle(empty_core_game())([1, 1, 1]),
+        ("member", "coalition", "amount", "negative_agent"),
+        {"coalition": None, "amount": None, "negative_agent": None},
+    ),
+    (lambda: satisfies_last_monotone(empty_core_game()), ("ok", "witness"), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "make, names, defaults", RECORDS,
+    ids=["Coalition", "Constraint", "LpSolution", "VerifyResult", "InstanceFile",
+         "ApproxTrace", "RelaxationReport", "SeparationResult", "AgentCheck"],
+)
+def test_result_records_are_immutable_value_records(make, names, defaults):
+    a, b = make(), make()
+    assert type(a)._fields == names
+    assert type(a)._field_defaults == defaults
+    assert a == b and a is not b
+    if type(a) is not Constraint:  # its coef is a read-only dict view, which has no hash
+        assert hash(a) == hash(b)
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in names)
+    assert repr(a) == f"{type(a).__name__}({shown})"
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Coalition(8, 3), lambda: Coalition(1, 2)._replace(bits=99),
+     lambda: Coalition.from_members([4], 3), lambda: Coalition._make((0, -1))],
+    ids=["constructor", "_replace", "from_members", "_make"],
+)
+def test_coalition_checks_every_construction(build):
+    with pytest.raises(ValueError):
+        build()
