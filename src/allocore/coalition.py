@@ -19,7 +19,8 @@ class Coalition(_CoalitionFields):
     """A subset of the agents {1, ..., n}, stored as a bitmask.
 
     Every way of building one (the constructor, ``_make`` and ``_replace``)
-    checks that ``bits`` fits in ``n`` agents.
+    checks that ``bits`` and ``n`` are ints, not bools, and that ``bits``
+    fits in ``n`` agents.
     """
 
     __slots__ = ()
@@ -31,6 +32,9 @@ class Coalition(_CoalitionFields):
     def _make(cls, iterable: Iterable[int]) -> "Coalition":
         # the one place a Coalition is built: _replace calls it too
         bits, n = iterable
+        for value in (bits, n):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"bits and n must be ints, got {value!r}")
         if n < 0:
             raise ValueError("agent count must be nonnegative")
         if not 0 <= bits < (1 << n):

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from operator import lt
 from typing import NamedTuple
 
 from .errors import InstanceParseError, PreconditionError
@@ -81,13 +83,32 @@ def _parse_coalition_key(key: str, n: int) -> int:
     return bits
 
 
-def _coalition_keys(n: int) -> list[str]:
+@lru_cache(maxsize=2)
+def _coalition_keys(n: int) -> tuple[str, ...]:
     """The canonical key of every coalition over n agents, indexed by
-    bitmask ("" for the empty one), by doubling over the agents."""
+    bitmask ("" for the empty one), built by doubling over the agents.
+    Kept for the last two n, so an export and an import share one build."""
     keys = [""]
     for agent in map(str, range(1, n + 1)):
         keys += [k + "," + agent if k else agent for k in keys]
-    return keys
+    return tuple(keys)
+
+
+def _cost_values(raw: dict) -> list[Fraction]:
+    """The cost of each entry of a 'costs' object, in its order."""
+    # one Fraction per distinct cost string; only strings are memoized,
+    # since 1 == 1.0 == True hash alike and a float or bool must still fail
+    rationals: dict[str, Fraction] = {}
+    values = []
+    for key, value in raw.items():
+        if type(value) is str:
+            cost = rationals.get(value)
+            if cost is None:
+                cost = rationals[value] = _parse_rational(value, f"cost of {key!r}")
+        else:
+            cost = _parse_rational(value, f"cost of {key!r}")
+        values.append(cost)
+    return values
 
 
 def _reject_duplicate_pairs(pairs):
@@ -129,36 +150,28 @@ def parse(text: str) -> InstanceFile:
         if "default" in data:
             default = _parse_rational(data["default"], "default")
         keys = _coalition_keys(n)
-        canonical = dict(zip(keys[1:], range(1, len(keys))))
-        # one Fraction per distinct cost string; only strings are memoized,
-        # since 1 == 1.0 == True hash alike and a float or bool must still fail
-        rationals: dict[str, Fraction] = {}
-        costs: dict[int, Fraction] = {}
-        for key, value in raw.items():
-            bits = canonical.get(key)
-            if bits is None:  # not canonical: the general parser accepts or rejects it
-                bits = _parse_coalition_key(key, n)
-            if bits in costs:
-                raise InstanceParseError(f"coalition {key!r} is listed twice")
-            if type(value) is str:
-                cost = rationals.get(value)
-                if cost is None:
-                    cost = rationals[value] = _parse_rational(value, f"cost of {key!r}")
-            else:
-                cost = _parse_rational(value, f"cost of {key!r}")
-            costs[bits] = cost
+        if tuple(raw) == keys[1:]:  # serialize's own form: every key, in mask order
+            costs = tuple(zip(range(1, len(keys)), _cost_values(raw)))
+        else:  # the general parser accepts or rejects each key off the canonical form
+            canonical = dict(zip(keys[1:], range(1, len(keys))))
+            bits = []
+            seen = set()
+            for key in raw:
+                mask = canonical.get(key)
+                if mask is None:
+                    mask = _parse_coalition_key(key, n)
+                if mask in seen:
+                    raise InstanceParseError(f"coalition {key!r} is listed twice")
+                seen.add(mask)
+                bits.append(mask)
+            costs = tuple(sorted(zip(bits, _cost_values(raw))))
         if default is None:
-            missing = (1 << n) - 1 - len(costs)
+            missing = len(keys) - 1 - len(costs)
             if missing:
                 raise InstanceParseError(
                     f"{missing} nonempty coalitions are missing and no default cost is declared"
                 )
-        return InstanceFile(
-            format=EXPLICIT,
-            n=n,
-            costs=tuple(sorted(costs.items())),
-            default=default,
-        )
+        return InstanceFile(format=EXPLICIT, n=n, costs=costs, default=default)
 
     raw_edges = data.get("edges")
     if not isinstance(raw_edges, list):
@@ -193,20 +206,37 @@ def load(path: str) -> InstanceFile:
     return parse(text)
 
 
+def _lists_every_coalition(instance: InstanceFile) -> bool:
+    """Whether an explicit instance's costs list every nonempty coalition.
+    Raises ValueError unless their masks ascend strictly inside 1..2^n-1, the
+    order parse returns and serialize writes."""
+    n = instance.n
+    bits = [mask for mask, _ in instance.costs]
+    if bits == list(range(1, 1 << n)):
+        return True
+    if bits and not (0 < bits[0] and bits[-1] < 1 << n and all(map(lt, bits, bits[1:]))):
+        raise ValueError(
+            f"explicit costs must list masks in strictly ascending order in 1..{(1 << n) - 1}"
+        )
+    return False
+
+
 def serialize(instance: InstanceFile) -> str:
     """Normalized JSON text, one coalition or edge per line; parse(serialize(x)) == x."""
     lines = ["{", f'  "format": {json.dumps(instance.format)},', f'  "n": {instance.n},']
     # keys hold only digits and commas, and str() of a rational only digits,
-    # "-" and "/", so quoting them by hand gives json.dumps's bytes
+    # "-" and "/", so quoting them by hand gives json.dumps's bytes; !s skips
+    # format(), whose empty spec gives str() anyway
     if instance.format == EXPLICIT:
+        _lists_every_coalition(instance)
         keys = _coalition_keys(instance.n)
-        entries = [f'    "{keys[bits]}": "{value}"' for bits, value in instance.costs]
+        entries = [f'    "{keys[bits]}": "{value!s}"' for bits, value in instance.costs]
         body = '  "costs": {\n' + ",\n".join(entries) + "\n  }"
         if instance.default is not None:
             body += f',\n  "default": "{instance.default}"'
         lines.append(body)
     else:
-        entries = [f'    [{i}, {j}, "{w}"]' for i, j, w in instance.edges]
+        entries = [f'    [{i}, {j}, "{w!s}"]' for i, j, w in instance.edges]
         lines.append('  "edges": [\n' + ",\n".join(entries) + "\n  ]")
     return "\n".join(lines) + "\n}\n"
 
@@ -221,18 +251,24 @@ def to_game(instance: InstanceFile, monotonize: bool = False) -> Game:
     if instance.format == EXPLICIT:
         if monotonize:
             raise PreconditionError("--monotonize applies to mst instances only")
-        listed = dict(instance.costs)
-        default = instance.default
-        # parse() guarantees completeness when there is no default
-        table = [listed.get(bits, default) for bits in range(1 << instance.n)]
-        table[0] = Fraction(0)
-        return ExplicitGame(instance.n, table)
+        n = instance.n
+        if _lists_every_coalition(instance):  # the table is the value column
+            table = [0]
+            table += [value for _, value in instance.costs]
+        else:  # parse() guarantees completeness when there is no default
+            table = [instance.default] * (1 << n)
+            table[0] = 0
+            for mask, value in instance.costs:
+                table[mask] = value
+        return ExplicitGame(n, table)
     return MstGame(to_graph(instance), monotonized=monotonize)
 
 
 def explicit_instance_from_table(n: int, table) -> InstanceFile:
     """An explicit InstanceFile for a full 2^n table (entry 0 must be 0)."""
-    costs = tuple((bits, table[bits]) for bits in range(1, 1 << n))
+    if len(table) != 1 << n or table[0] != 0:
+        raise ValueError(f"need a 2^{n}-entry cost table whose entry 0 is 0")
+    costs = tuple(zip(range(1, 1 << n), table[1:]))
     return InstanceFile(format=EXPLICIT, n=n, costs=costs)
 
 

@@ -180,6 +180,112 @@ class TestParsingOffTheCanonicalForms:
             parse(text)
 
 
+def random_table(rng: Random, n: int) -> list[Fraction]:
+    """A 2^n table with repeated values, its last entry an integer."""
+    table = [Fraction(rng.randint(0, 12), rng.randint(1, 3)) for _ in range(1 << n)]
+    table[0] = Fraction(0)
+    table[-1] = Fraction(rng.randint(1, 9))
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 11])
+class TestTheTwoKeyPaths:
+    """serialize's own text takes parse's one-comparison path; every variant
+    below takes the general key loop and must give the same result."""
+
+    @pytest.fixture
+    def case(self, n):
+        rng = Random(1000 + n)
+        table = random_table(rng, n)
+        instance = explicit_instance_from_table(n, table)
+        text = serialize(instance)
+        assert parse(text) == instance and to_game(parse(text)).table() == tuple(table)
+        return rng, table, instance, json.loads(text)
+
+    @staticmethod
+    def text_with_costs(data, costs, **extra):
+        return json.dumps({**data, "costs": costs, **extra})
+
+    def test_entries_in_another_order(self, case):
+        rng, table, instance, data = case
+        items = list(data["costs"].items())
+        rng.shuffle(items)
+        if len(items) > 1 and [key for key, _ in items] == list(data["costs"]):
+            items.reverse()
+        parsed = parse(self.text_with_costs(data, dict(items)))
+        assert parsed == instance and to_game(parsed).table() == tuple(table)
+
+    def test_one_key_written_off_the_canonical_form(self, case):
+        rng, table, instance, data = case
+        target = rng.choice(list(data["costs"]))
+        costs = {("0" + k if k == target else k): value for k, value in data["costs"].items()}
+        assert ("0" + target) in costs and target not in costs  # e.g. "1,3" -> "01,3"
+        parsed = parse(self.text_with_costs(data, costs))
+        assert parsed == instance and to_game(parsed).table() == tuple(table)
+
+    def test_one_value_written_as_a_json_int(self, case):
+        _, table, instance, data = case
+        costs = dict(data["costs"])
+        last = list(costs)[-1]
+        costs[last] = int(costs[last])
+        parsed = parse(self.text_with_costs(data, costs))
+        assert parsed == instance and to_game(parsed).table() == tuple(table)
+
+    def test_one_entry_dropped_and_a_default_declared(self, case, n):
+        rng, table, instance, data = case
+        dropped = rng.randrange(1, 1 << n)
+        costs = dict(data["costs"])
+        del costs[list(costs)[dropped - 1]]
+        kept = instance.costs[:dropped - 1] + instance.costs[dropped:]
+        partial = InstanceFile("explicit", n, kept, table[dropped])
+        parsed = parse(self.text_with_costs(data, costs, default=str(table[dropped])))
+        assert parsed == partial and parse(serialize(partial)) == partial
+        assert to_game(parsed).table() == tuple(table)
+
+
+def test_coalition_keys_are_one_tuple_per_n():
+    keys = instances._coalition_keys(3)
+    assert keys == ("", "1", "2", "1,2", "3", "1,3", "2,3", "1,2,3")
+    assert instances._coalition_keys(3) is keys
+    assert all(instances._coalition_keys(n) is instances._coalition_keys(n) for n in (11, 16))
+
+
+def test_explicit_instance_from_table_needs_a_full_table_from_zero():
+    assert explicit_instance_from_table(2, [0, 1, 2, 3]).costs == ((1, 1), (2, 2), (3, 3))
+    for table in ([0, 1, 2], [0, 1, 2, 3, 4], [1, 1, 2, 3]):
+        with pytest.raises(ValueError, match="2\\^2-entry cost table whose entry 0 is 0"):
+            explicit_instance_from_table(2, table)
+
+
+class TestCostMasksMustAscendInRange:
+    """serialize and to_game read a costs column only in parse's order."""
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            # would serialize to a file that parse rejects as a duplicate key,
+            # and to_game would let the last duplicate win
+            ((1, Fraction(1)), (1, Fraction(7)), (3, Fraction(2))),
+            # mask 0 would serialize as the forbidden empty key ""
+            ((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1)), (3, Fraction(2))),
+            # mask 9 names agents beyond n = 2
+            ((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(2)), (9, Fraction(5))),
+            # every mask present, out of order
+            ((2, Fraction(1)), (1, Fraction(1)), (3, Fraction(2))),
+        ],
+        ids=["duplicate", "empty", "beyond-n", "descending"],
+    )
+    @pytest.mark.parametrize("reader", [serialize, to_game], ids=["serialize", "to_game"])
+    def test_rejected(self, costs, reader):
+        with pytest.raises(ValueError, match="strictly ascending order in 1..3"):
+            reader(InstanceFile("explicit", 2, costs))
+
+    def test_a_partial_ascending_column_with_a_default_is_read(self):
+        instance = InstanceFile("explicit", 2, ((3, Fraction(2)),), Fraction(1))
+        assert parse(serialize(instance)) == instance
+        assert to_game(instance).table() == (0, 1, 1, 2)
+
+
 class TestRoundTrip:
     def test_explicit_round_trip(self):
         inst = parse(EXPLICIT_TEXT)

@@ -191,11 +191,24 @@ def test_result_records_are_immutable_value_records(make, names, defaults):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: Coalition(8, 3), lambda: Coalition(1, 2)._replace(bits=99),
-     lambda: Coalition.from_members([4], 3), lambda: Coalition._make((0, -1))],
-    ids=["constructor", "_replace", "from_members", "_make"],
+    "build, error",
+    [
+        (lambda: Coalition(8, 3), ValueError),
+        (lambda: Coalition(1, 2)._replace(bits=99), ValueError),
+        (lambda: Coalition.from_members([4], 3), ValueError),
+        (lambda: Coalition._make((0, -1)), ValueError),
+        # a bool or a non-integer is no bitmask or agent count, whichever way it comes in
+        (lambda: Coalition(1.5, 3), TypeError),
+        (lambda: Coalition(True, 2), TypeError),
+        (lambda: Coalition(1, True), TypeError),
+        (lambda: Coalition._make((1, 2.0)), TypeError),
+        (lambda: Coalition(1, 2)._replace(n=True), TypeError),
+        (lambda: Coalition.from_members([1], True), TypeError),
+    ],
+    ids=["constructor", "_replace", "from_members", "_make", "constructor-float-bits",
+         "constructor-bool-bits", "constructor-bool-n", "_make-float-n", "_replace-bool-n",
+         "from_members-bool-n"],
 )
-def test_coalition_checks_every_construction(build):
-    with pytest.raises(ValueError):
+def test_coalition_checks_every_construction(build, error):
+    with pytest.raises(error):
         build()
