@@ -64,6 +64,8 @@ class Coalition(_CoalitionFields):
 def bits_members(bits: int) -> tuple[int, ...]:
     """1-indexed members of a raw bitmask, in ascending order; the one
     bitmask decoder. Walks the set bits, lowest first."""
+    if bits < 0:  # -1 has no lowest set bit to clear: the walk would never end
+        raise ValueError(f"bitmask {bits} is negative")
     out = []
     while bits:
         low = bits & -bits

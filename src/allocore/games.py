@@ -115,6 +115,8 @@ class ExplicitGame(Game):
         self._table = table
 
     def cost_bits(self, bits: int) -> Fraction:
+        if not 0 <= bits < len(self._table):  # -1 would read c(N)
+            raise ValueError(f"bitmask {bits} out of range for n={self.n}")
         return self._table[bits]
 
     def table(self) -> tuple[Fraction, ...]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from operator import lt
 from typing import NamedTuple
 
 from .errors import InstanceParseError, PreconditionError
@@ -41,7 +40,9 @@ class InstanceFile(NamedTuple):
 
     format: str
     n: int
-    costs: tuple[tuple[int, Fraction], ...] | None = None  # (bits, cost), ascending
+    # explicit: the 2^n cost table indexed by bitmask, entry 0 is 0, and an
+    # entry is None where the file lists no cost and ``default`` applies
+    costs: tuple[Fraction | None, ...] | None = None
     default: Fraction | None = None
     edges: tuple[tuple[int, int, Fraction], ...] | None = None  # (i, j, w), i < j
 
@@ -151,22 +152,24 @@ def parse(text: str) -> InstanceFile:
             default = _parse_rational(data["default"], "default")
         keys = _coalition_keys(n)
         if tuple(raw) == keys[1:]:  # serialize's own form: every key, in mask order
-            costs = tuple(zip(range(1, len(keys)), _cost_values(raw)))
+            costs = (Fraction(0), *_cost_values(raw))
         else:  # the general parser accepts or rejects each key off the canonical form
             canonical = dict(zip(keys[1:], range(1, len(keys))))
-            bits = []
-            seen = set()
-            for key in raw:
+            table = [Fraction(0)] + [None] * (len(keys) - 1)
+            masks = []
+            for key in raw:  # every key before any value: key errors come first
                 mask = canonical.get(key)
                 if mask is None:
                     mask = _parse_coalition_key(key, n)
-                if mask in seen:
+                if table[mask] is not None:  # holds the key that listed it first
                     raise InstanceParseError(f"coalition {key!r} is listed twice")
-                seen.add(mask)
-                bits.append(mask)
-            costs = tuple(sorted(zip(bits, _cost_values(raw))))
+                table[mask] = key
+                masks.append(mask)
+            for mask, value in zip(masks, _cost_values(raw)):
+                table[mask] = value
+            costs = tuple(table)
         if default is None:
-            missing = len(keys) - 1 - len(costs)
+            missing = len(keys) - 1 - len(raw)
             if missing:
                 raise InstanceParseError(
                     f"{missing} nonempty coalitions are missing and no default cost is declared"
@@ -206,19 +209,9 @@ def load(path: str) -> InstanceFile:
     return parse(text)
 
 
-def _lists_every_coalition(instance: InstanceFile) -> bool:
-    """Whether an explicit instance's costs list every nonempty coalition.
-    Raises ValueError unless their masks ascend strictly inside 1..2^n-1, the
-    order parse returns and serialize writes."""
-    n = instance.n
-    bits = [mask for mask, _ in instance.costs]
-    if bits == list(range(1, 1 << n)):
-        return True
-    if bits and not (0 < bits[0] and bits[-1] < 1 << n and all(map(lt, bits, bits[1:]))):
-        raise ValueError(
-            f"explicit costs must list masks in strictly ascending order in 1..{(1 << n) - 1}"
-        )
-    return False
+def _check_table(n: int, costs) -> None:
+    if len(costs) != 1 << n or costs[0] != 0:
+        raise ValueError(f"need a 2^{n}-entry cost table whose entry 0 is 0")
 
 
 def serialize(instance: InstanceFile) -> str:
@@ -228,15 +221,20 @@ def serialize(instance: InstanceFile) -> str:
     # "-" and "/", so quoting them by hand gives json.dumps's bytes; !s skips
     # format(), whose empty spec gives str() anyway
     if instance.format == EXPLICIT:
-        _lists_every_coalition(instance)
+        _check_table(instance.n, instance.costs)
         keys = _coalition_keys(instance.n)
-        entries = [f'    "{keys[bits]}": "{value!s}"' for bits, value in instance.costs]
-        body = '  "costs": {\n' + ",\n".join(entries) + "\n  }"
+        entries = [f'    "{key}": "{value!s}"' for key, value in zip(keys, instance.costs)
+                   if value is not None]
+        body = '  "costs": {\n' + ",\n".join(entries[1:]) + "\n  }"  # [0]: the empty coalition
         if instance.default is not None:
             body += f',\n  "default": "{instance.default}"'
         lines.append(body)
     else:
-        entries = [f'    [{i}, {j}, "{w!s}"]' for i, j, w in instance.edges]
+        edges, n = instance.edges, instance.n
+        pairs = [(i, j) for i, j, _ in edges]  # parse's order: ascending, none repeated
+        if pairs != sorted(set(pairs)) or not all(0 <= i < j <= n and w >= 0 for i, j, w in edges):
+            raise ValueError(f"mst edges need 0 <= i < j <= {n}, ascending strictly, weights >= 0")
+        entries = [f'    [{i}, {j}, "{w!s}"]' for i, j, w in edges]
         lines.append('  "edges": [\n' + ",\n".join(entries) + "\n  ]")
     return "\n".join(lines) + "\n}\n"
 
@@ -251,24 +249,17 @@ def to_game(instance: InstanceFile, monotonize: bool = False) -> Game:
     if instance.format == EXPLICIT:
         if monotonize:
             raise PreconditionError("--monotonize applies to mst instances only")
-        n = instance.n
-        if _lists_every_coalition(instance):  # the table is the value column
-            table = [0]
-            table += [value for _, value in instance.costs]
-        else:  # parse() guarantees completeness when there is no default
-            table = [instance.default] * (1 << n)
-            table[0] = 0
-            for mask, value in instance.costs:
-                table[mask] = value
-        return ExplicitGame(n, table)
+        table = instance.costs
+        if instance.default is not None:
+            table = [instance.default if value is None else value for value in table]
+        return ExplicitGame(instance.n, table)
     return MstGame(to_graph(instance), monotonized=monotonize)
 
 
 def explicit_instance_from_table(n: int, table) -> InstanceFile:
     """An explicit InstanceFile for a full 2^n table (entry 0 must be 0)."""
-    if len(table) != 1 << n or table[0] != 0:
-        raise ValueError(f"need a 2^{n}-entry cost table whose entry 0 is 0")
-    costs = tuple(zip(range(1, 1 << n), table[1:]))
+    costs = tuple(table)
+    _check_table(n, costs)
     return InstanceFile(format=EXPLICIT, n=n, costs=costs)
 
 

@@ -180,6 +180,8 @@ class GraphInstance:
 
     def coalition_cost(self, bits: int) -> Fraction:
         """MST cost of the subgraph induced by the coalition plus the supplier."""
+        if not 0 <= bits < 1 << self.n:  # -1 would read c(N) from the table
+            raise ValueError(f"bitmask {bits} out of range for n={self.n}")
         return Fraction(self._cost(bits), self.denominator)
 
     def _scaled_cost_table(self) -> tuple[int, ...]:
@@ -275,6 +277,8 @@ class MstGame(Game):
 
     def cost_bits(self, bits: int) -> Fraction:
         if self._table is not None:
+            if not 0 <= bits < len(self._table):
+                raise ValueError(f"bitmask {bits} out of range for n={self.n}")
             return Fraction(self._table[bits], self.graph.denominator)
         return self.graph.coalition_cost(bits)
 

@@ -314,3 +314,10 @@ def test_share_vectors_are_tuples_of_fractions(unbalanced3, tight_quarter):
     approx, trace = almost_core_approx(tight_quarter)
     for x in (granot_huberman(tight_quarter), approx, trace.pre_update_shares, trace.final_shares):
         check(x)
+
+
+@pytest.mark.parametrize("bits", [-1, 8])
+def test_explicit_lookup_rejects_a_mask_outside_the_table(bits):
+    game = ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2])
+    with pytest.raises(ValueError, match=f"bitmask {bits} out of range for n=3"):
+        game.cost_bits(bits)

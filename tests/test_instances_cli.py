@@ -5,6 +5,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from allocore import instances
 from allocore.cli import main
@@ -149,12 +150,12 @@ class TestParsingOffTheCanonicalForms:
     def test_non_canonical_rationals_give_equal_fractions(self):
         costs = {**CANONICAL3, "1": "2/4", "2": "0.75", "3": "+3", "1,2": "-0", "2,3": "1/2"}
         inst = parse(explicit_text(costs))
-        values = dict(inst.costs)
+        values = inst.costs
         assert values[0b001] == values[0b110] == Fraction(1, 2)
         assert values[0b010] == Fraction(3, 4)
         assert values[0b100] == 3
         assert values[0b011] == 0
-        assert all(type(v) is Fraction for v in values.values())
+        assert all(type(v) is Fraction for v in values)
         assert to_game(inst).cost_bits(0b011) == 0
 
     @pytest.mark.parametrize("number", [1.0, True])
@@ -236,7 +237,7 @@ class TestTheTwoKeyPaths:
         dropped = rng.randrange(1, 1 << n)
         costs = dict(data["costs"])
         del costs[list(costs)[dropped - 1]]
-        kept = instance.costs[:dropped - 1] + instance.costs[dropped:]
+        kept = instance.costs[:dropped] + (None,) + instance.costs[dropped + 1:]
         partial = InstanceFile("explicit", n, kept, table[dropped])
         parsed = parse(self.text_with_costs(data, costs, default=str(table[dropped])))
         assert parsed == partial and parse(serialize(partial)) == partial
@@ -251,39 +252,116 @@ def test_coalition_keys_are_one_tuple_per_n():
 
 
 def test_explicit_instance_from_table_needs_a_full_table_from_zero():
-    assert explicit_instance_from_table(2, [0, 1, 2, 3]).costs == ((1, 1), (2, 2), (3, 3))
+    assert explicit_instance_from_table(2, [0, 1, 2, 3]).costs == (0, 1, 2, 3)
     for table in ([0, 1, 2], [0, 1, 2, 3, 4], [1, 1, 2, 3]):
         with pytest.raises(ValueError, match="2\\^2-entry cost table whose entry 0 is 0"):
             explicit_instance_from_table(2, table)
 
 
 class TestCostMasksMustAscendInRange:
-    """serialize and to_game read a costs column only in parse's order."""
+    """An explicit costs table is indexed by the masks 0..2^n - 1, no more and
+    no fewer, and entry 0, the empty coalition, costs 0. serialize and to_game
+    reject any other length or entry 0 with ValueError, as
+    explicit_instance_from_table does (tested above)."""
 
     @pytest.mark.parametrize(
         "costs",
         [
-            # would serialize to a file that parse rejects as a duplicate key,
-            # and to_game would let the last duplicate win
-            ((1, Fraction(1)), (1, Fraction(7)), (3, Fraction(2))),
-            # mask 0 would serialize as the forbidden empty key ""
-            ((0, Fraction(0)), (1, Fraction(1)), (2, Fraction(1)), (3, Fraction(2))),
-            # mask 9 names agents beyond n = 2
-            ((1, Fraction(1)), (2, Fraction(1)), (3, Fraction(2)), (9, Fraction(5))),
-            # every mask present, out of order
-            ((2, Fraction(1)), (1, Fraction(1)), (3, Fraction(2))),
+            # entry 0 would give the empty coalition a cost
+            (Fraction(1), Fraction(1), Fraction(1), Fraction(2)),
+            # entry 4 would be the mask of an agent beyond n = 2
+            (Fraction(0), Fraction(1), Fraction(1), Fraction(2), Fraction(5)),
+            # mask 3, the grand coalition, has no entry
+            (Fraction(0), Fraction(1), Fraction(1)),
         ],
-        ids=["duplicate", "empty", "beyond-n", "descending"],
+        ids=["empty", "beyond-n", "short"],
     )
-    @pytest.mark.parametrize("reader", [serialize, to_game], ids=["serialize", "to_game"])
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda costs: serialize(InstanceFile("explicit", 2, costs)),
+            lambda costs: to_game(InstanceFile("explicit", 2, costs)),
+        ],
+        ids=["serialize", "to_game"],
+    )
     def test_rejected(self, costs, reader):
-        with pytest.raises(ValueError, match="strictly ascending order in 1..3"):
-            reader(InstanceFile("explicit", 2, costs))
+        # to_game leaves the check to ExplicitGame, whose messages differ
+        with pytest.raises(ValueError, match=r"2\^2|empty coalition"):
+            reader(costs)
 
     def test_a_partial_ascending_column_with_a_default_is_read(self):
-        instance = InstanceFile("explicit", 2, ((3, Fraction(2)),), Fraction(1))
+        instance = InstanceFile("explicit", 2, (Fraction(0), None, None, Fraction(2)), Fraction(1))
         assert parse(serialize(instance)) == instance
         assert to_game(instance).table() == (0, 1, 1, 2)
+
+
+@st.composite
+def explicit_files(draw):
+    """(text, n, table with None where the file lists no cost, default):
+    every coalition listed and no default, or any subset listed and a
+    default, with the keys in mask order or shuffled."""
+    n = draw(st.integers(1, 6))
+    value = st.fractions(min_value=0, max_value=20, max_denominator=6)
+    table = [Fraction(0)] + draw(st.lists(value, min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    default = None
+    if draw(st.booleans()):
+        default = draw(value)
+        unlisted = draw(st.sets(st.integers(1, (1 << n) - 1)))
+        table = [None if mask in unlisted else cost for mask, cost in enumerate(table)]
+    listed = [mask for mask in range(1, 1 << n) if table[mask] is not None]
+    if draw(st.booleans()):
+        listed = draw(st.permutations(listed))
+    data = {"format": "explicit", "n": n,
+            "costs": {",".join(map(str, bits_members(m))): str(table[m]) for m in listed}}
+    if default is not None:
+        data["default"] = str(default)
+    return json.dumps(data), n, table, default
+
+
+@settings(deadline=None)
+@given(explicit_files())
+def test_the_costs_table_round_trips(case):
+    text, n, table, default = case
+    inst = parse(text)
+    assert inst == InstanceFile("explicit", n, tuple(table), default)
+    assert parse(serialize(inst)) == inst
+    # serialize writes json.dumps's bytes of the listed coalitions in mask
+    # order (an empty costs object, all default, is written "{", "", "}")
+    keys = {",".join(map(str, bits_members(m))): str(v)
+            for m, v in enumerate(table) if m and v is not None}
+    data = {"format": "explicit", "n": n, "costs": keys}
+    if default is not None:
+        data["default"] = str(default)
+    if keys:
+        assert serialize(inst) == json.dumps(data, indent=2) + "\n"
+    full = tuple(default if v is None else v for v in table)
+    assert to_game(inst).table() == full
+    assert explicit_instance_from_table(n, full).costs == full
+
+
+class TestMstEdgesInParseOrder:
+    """serialize writes an mst record only in the form parse returns: (i, j)
+    ascending strictly with 0 <= i < j <= n, and no negative weight."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # would write a file that parse rejects as a duplicate edge
+            ((0, 1, Fraction(1)), (0, 1, Fraction(2))),
+            # would write a file that parse rejects for its endpoints
+            ((0, 1, Fraction(1)), (0, 5, Fraction(1))),
+            # would write a file that parses back as (0, 1, 1), unequal
+            ((1, 0, Fraction(1)),),
+            # would write a file that parses back sorted, unequal
+            ((0, 2, Fraction(1)), (0, 1, Fraction(1))),
+            # would write a file that parse rejects for its weight
+            ((0, 1, Fraction(-1)),),
+        ],
+        ids=["duplicate", "beyond-n", "reversed-pair", "descending", "negative-weight"],
+    )
+    def test_rejected(self, edges):
+        with pytest.raises(ValueError, match=r"0 <= i < j <= 2, ascending strictly"):
+            serialize(InstanceFile("mst", 2, edges=edges))
 
 
 class TestRoundTrip:

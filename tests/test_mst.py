@@ -1,9 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import allocore
 from allocore.coalition import Coalition
 from allocore.errors import EnumerationLimitError, PreconditionError
 from allocore.games import ExplicitGame, subset_sums
@@ -458,3 +462,44 @@ def test_oracles_match_fraction_scan(graph, data):
                 result = oracle(point)
                 assert result == expected_separation(reference_core_scan(table, point, flag), n)
                 assert result.amount is None or isinstance(result.amount, Fraction)
+
+
+@pytest.mark.parametrize("bits", [-1, 8])
+def test_mst_lookups_reject_a_mask_outside_0_to_2n(bits):
+    graph = detour_instance(Fraction(1, 4))
+    plain, mono = MstGame(graph), MstGame(graph, monotonized=True)  # mono builds the table
+    for lookup in (graph.coalition_cost, plain.cost_bits, mono.cost_bits):
+        with pytest.raises(ValueError, match=f"bitmask {bits} out of range for n=3"):
+            lookup(bits)
+
+
+def test_mst_lookups_reject_a_mask_outside_0_to_2n_before_the_table_exists():
+    # without a table a lookup runs Prim on bits_members(mask), and decoding
+    # -1 would never end: a child process turns such a hang into a timeout
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from fractions import Fraction
+        from allocore.coalition import bits_members
+        from allocore.generators import detour_instance
+        from allocore.mstgame import MstGame
+        graph = detour_instance(Fraction(1, 4))
+        try:
+            bits_members(-1)
+        except ValueError as exc:
+            print(exc)
+        for bits in (-1, 8):
+            for lookup in (graph.coalition_cost, MstGame(graph).cost_bits):
+                try:
+                    lookup(bits)
+                except ValueError as exc:
+                    print(exc)
+        print(graph._table is None)
+    """
+    package_root = Path(allocore.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(package_root)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    messages = [f"bitmask {bits} out of range for n=3" for bits in (-1, -1, 8, 8)]
+    assert result.stdout.splitlines() == ["bitmask -1 is negative", *messages, "True"]
