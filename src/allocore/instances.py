@@ -225,7 +225,7 @@ def serialize(instance: InstanceFile) -> str:
         keys = _coalition_keys(instance.n)
         entries = [f'    "{key}": "{value!s}"' for key, value in zip(keys, instance.costs)
                    if value is not None]
-        body = '  "costs": {\n' + ",\n".join(entries[1:]) + "\n  }"  # [0]: the empty coalition
+        body = _json_block("costs", "{}", entries[1:])  # [0]: the empty coalition
         if instance.default is not None:
             body += f',\n  "default": "{instance.default}"'
         lines.append(body)
@@ -235,8 +235,16 @@ def serialize(instance: InstanceFile) -> str:
         if pairs != sorted(set(pairs)) or not all(0 <= i < j <= n and w >= 0 for i, j, w in edges):
             raise ValueError(f"mst edges need 0 <= i < j <= {n}, ascending strictly, weights >= 0")
         entries = [f'    [{i}, {j}, "{w!s}"]' for i, j, w in edges]
-        lines.append('  "edges": [\n' + ",\n".join(entries) + "\n  ]")
+        lines.append(_json_block("edges", "[]", entries))
     return "\n".join(lines) + "\n}\n"
+
+
+def _json_block(key: str, brackets: str, entries: list[str]) -> str:
+    """json.dumps(..., indent=2)'s bytes of a top-level object or list
+    member whose items are already written, one per entry; an empty one is
+    "{}" or "[]"."""
+    inner = "\n" + ",\n".join(entries) + "\n  " if entries else ""
+    return f'  "{key}": {brackets[0]}{inner}{brackets[1]}'
 
 
 def to_graph(instance: InstanceFile) -> GraphInstance:

@@ -13,17 +13,22 @@ trace and column order are in virtual indices, those of the split tableau.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
-once: a stored ``Constraint`` keeps the nonzero entries, in ascending
+once (a row of int coefficients only by its rhs's denominator): a stored ``Constraint`` keeps the nonzero entries, in ascending
 variable order, in a read-only mapping of numerators over ``den``, the lcm
 of the row's denominators, so ``solve`` and ``verify_point`` visit nothing
 else and nothing can change a row after ``add`` checked it. The objective
-and the lower bounds are dense, one entry per variable.
+and the lower bounds are dense tuples, one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
-over one positive integer denominator of its own, so a pivot touches only
-the rows with a nonzero in the pivot column and does only integer
-arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is
-divided by the gcd of its entries). Every tableau entry is the same
+over one positive integer denominator of its own. A problem translates
+each stored row into a tableau row once (columns, slack, sign, rhs and
+den) and later solves copy it, so row generation, which only appends rows
+between solves, translates each row once. One loop does every row update:
+a pivot clears its column from the other rows and the cost row with it,
+and pricing out the objective runs through it too. It touches only the
+rows with a nonzero in the pivot column and does only integer arithmetic
+(row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is divided
+by the gcd of its entries). Every tableau entry is the same
 rational as in a dense Fraction tableau, so the pivot choices, and the
 returned values, are those of the textbook method. The optimum is read out
 on integers: a variable's two parts are never both basic, so x is the
@@ -42,6 +47,7 @@ from __future__ import annotations
 import enum
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -105,8 +111,15 @@ class LpProblem:
         bounds = [None if b is None else as_rational(b) for b in lower_bounds]
         if any(bounds):  # None and 0 are the only falsy entries
             raise ValueError("each lower bound must be 0 or None (free)")
-        self.lower_bounds: list[Fraction | None] = bounds
+        self.lower_bounds: tuple[Fraction | None, ...] = tuple(bounds)
         self.constraints: list[Constraint] = []
+        # solve's tableau rows, built under the bounds _built_for: one
+        # (coef, rhs, den, basic column or -1) per constraint in
+        # _built_from, their slack columns ending before _width
+        self._built_for: tuple[Fraction | None, ...] | None = None
+        self._built_from: list[Constraint] = []
+        self._built: list[tuple[dict[int, int], int, int, int]] = []
+        self._width = 0
 
     def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
         """Add the row sum(coeffs[i] * x_i) (relation) rhs.
@@ -117,20 +130,27 @@ class LpProblem:
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         row = {}
-        last, ascending = -1, True  # builders emit ascending keys; sort only other rows
+        last, ascending, ints = -1, True, True  # builders emit ascending keys; sort only other rows
         for i, v in coeffs.items():
             if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.num_vars:
                 raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
             ascending = ascending and i > last
             last = i
-            c = v if type(v) is int else as_rational(v)  # a bool is no int here, so it still fails
-            if c:
-                row[i] = c
+            if type(v) is not int:  # a bool is no int here, so it still fails
+                v = as_rational(v)
+                ints = False
+            if v:
+                row[i] = v
         if not ascending:
             row = dict(sorted(row.items()))
-        nums, den = over_common_denominator([*row.values(), as_rational(rhs)])
-        coef = MappingProxyType(dict(zip(row, nums)))
-        self.constraints.append(Constraint(coef, relation, nums[-1], den))
+        b = as_rational(rhs)
+        if ints:  # the lcm of the denominators is the rhs's
+            den, num = b.denominator, b.numerator
+            coef = {i: c * den for i, c in row.items()} if den != 1 else row
+        else:
+            nums, den = over_common_denominator([*row.values(), b])
+            coef, num = dict(zip(row, nums)), nums[-1]
+        self.constraints.append(Constraint(MappingProxyType(coef), relation, num, den))
 
 
 class VerifyResult(NamedTuple):
@@ -175,29 +195,36 @@ class _Row:
         self.rhs = rhs
         self.den = den
 
-    def eliminate(self, prow: _Row, c: int, sign: int) -> None:
-        """Subtract the multiple of prow that clears stored column c, then
-        divide by the gcd of the denominator and numerators. prow reads 1 in
-        the pivot's virtual column, so prow.coef[c] is sign * prow.den, sign
-        being -1 when that column is the negative part of c."""
-        p = prow.den
-        f = self.coef[c] if sign > 0 else -self.coef[c]
-        coef = {j: v * p for j, v in self.coef.items()} if p != 1 else self.coef
-        for j, v in prow.coef.items():  # column c nets f * p - f * p = 0
+
+def _clear(prow: _Row, c: int, sign: int, rows) -> None:
+    """Clear stored column c from each row of ``rows`` other than prow:
+    subtract the multiple of prow that zeroes it, then divide by the gcd of
+    the denominator and numerators. prow reads 1 in the pivot's virtual
+    column, so prow.coef[c] is sign * prow.den, sign being -1 when that
+    column is the negative part of c."""
+    p, prhs, pitems = prow.den, prow.rhs, tuple(prow.coef.items())
+    for row in rows:
+        coef = row.coef
+        if c not in coef or row is prow:
+            continue
+        f = sign * coef[c]
+        if p != 1:
+            coef = {j: v * p for j, v in coef.items()}
+        for j, v in pitems:  # column c nets f * p - f * p = 0
             w = coef.get(j, 0) - f * v
             if w:
                 coef[j] = w
             else:
                 del coef[j]
-        rhs = p * self.rhs - f * prow.rhs
-        den = self.den * p
+        rhs = p * row.rhs - f * prhs
+        den = row.den * p
         if den != 1:
             g = gcd(den, rhs, *coef.values())
             if g > 1:
                 coef = {j: v // g for j, v in coef.items()}
                 rhs //= g
                 den //= g
-        self.coef, self.rhs, self.den = coef, rhs, den
+        row.coef, row.rhs, row.den = coef, rhs, den
 
 
 class _Tableau:
@@ -217,7 +244,7 @@ class _Tableau:
         for row, bcol in zip(rows, basis):
             c, sign = self.stored(bcol)
             if c in cost.coef:
-                cost.eliminate(row, c, sign)
+                _clear(row, c, sign, (cost,))
 
     def stored(self, c: int) -> tuple[int, int]:
         """(stored column, sign) of virtual column c."""
@@ -241,11 +268,7 @@ class _Tableau:
                 prow.rhs //= g
                 p //= g
         prow.den = p
-        for i, row in enumerate(self.rows):
-            if i != r and col in row.coef:
-                row.eliminate(prow, col, sign)
-        if col in self.cost.coef:
-            self.cost.eliminate(prow, col, sign)
+        _clear(prow, col, sign, chain(self.rows, (self.cost,)))
         self.basis[r] = c
 
     def run_simplex(self) -> str:
@@ -301,26 +324,35 @@ def solve(problem: LpProblem) -> LpSolution:
     # Each <= row gets a slack column, +1 over the row's den; a row with a
     # negative rhs is negated. Its basic column is then the slack when it
     # still reads +1, otherwise an artificial column (after all real ones).
-    width = nstruct + sum(con.relation == LE for con in problem.constraints)
-    rows: list[_Row] = []
-    basis: list[int] = []
-    art_rows: list[int] = []
-    scol = nstruct
-    for r, con in enumerate(problem.constraints):
-        row = _Row({first_col[i]: c for i, c in con.coef.items()}, con.rhs, con.den)
+    # A row is translated once per problem, and later solves copy it: only
+    # rows appended since the last solve are new, unless the constraint list
+    # changed otherwise or the bounds were replaced, which rebuilds them all.
+    cons, done, built = problem.constraints, problem._built_from, problem._built
+    if (problem._built_for is not problem.lower_bounds or len(done) > len(cons)
+            or not all(map(operator.is_, done, cons))):
+        problem._built_for = problem.lower_bounds
+        done.clear()
+        built.clear()
+        problem._width = nstruct
+    width = problem._width
+    for con in cons[len(done):]:
+        coef = {first_col[i]: c for i, c in con.coef.items()}
+        basic = -1
         if con.relation == LE:
-            row.coef[scol] = con.den
-            scol += 1
+            coef[width] = con.den
+            basic = width if con.rhs >= 0 else -1
+            width += 1
         if con.rhs < 0:
-            row.coef = {j: -v for j, v in row.coef.items()}
-            row.rhs = -row.rhs
-        if con.relation == LE and con.rhs >= 0:
-            basis.append(scol - 1)
-        else:
-            basis.append(width + len(art_rows))
-            row.coef[basis[r]] = row.den
-            art_rows.append(r)
-        rows.append(row)
+            coef = {j: -v for j, v in coef.items()}
+        built.append((coef, abs(con.rhs), con.den, basic))
+        done.append(con)
+    problem._width = width
+    rows = [_Row(coef.copy(), rhs, den) for coef, rhs, den, _ in built]
+    basis = [basic for *_, basic in built]
+    art_rows = [r for r, basic in enumerate(basis) if basic < 0]
+    for k, r in enumerate(art_rows):
+        basis[r] = width + k
+        rows[r].coef[width + k] = rows[r].den
 
     if art_rows:
         # Phase 1: maximize -(sum of artificials).

@@ -326,14 +326,13 @@ def test_the_costs_table_round_trips(case):
     assert inst == InstanceFile("explicit", n, tuple(table), default)
     assert parse(serialize(inst)) == inst
     # serialize writes json.dumps's bytes of the listed coalitions in mask
-    # order (an empty costs object, all default, is written "{", "", "}")
+    # order, an empty costs object (all default) included
     keys = {",".join(map(str, bits_members(m))): str(v)
             for m, v in enumerate(table) if m and v is not None}
     data = {"format": "explicit", "n": n, "costs": keys}
     if default is not None:
         data["default"] = str(default)
-    if keys:
-        assert serialize(inst) == json.dumps(data, indent=2) + "\n"
+    assert serialize(inst) == json.dumps(data, indent=2) + "\n"
     full = tuple(default if v is None else v for v in table)
     assert to_game(inst).table() == full
     assert explicit_instance_from_table(n, full).costs == full
@@ -420,6 +419,17 @@ def test_serialize_writes_the_bytes_of_json_dumps(n):
     rows = ",\n".join("    " + json.dumps([i, j, str(w)]) for i, j, w in edges.edges)
     head = json.dumps({"format": "mst", "n": n}, indent=2)[:-2]
     assert serialize(edges) == head + ',\n  "edges": [\n' + rows + "\n  ]\n}\n"
+
+
+def test_serialize_writes_empty_objects_as_json_dumps_does():
+    edgeless = InstanceFile("mst", 2, edges=())
+    text = json.dumps({"format": "mst", "n": 2, "edges": []}, indent=2) + "\n"
+    assert serialize(edgeless) == text
+    assert parse(text) == edgeless
+    all_default = InstanceFile("explicit", 2, (Fraction(0), None, None, None), Fraction(3))
+    text = json.dumps({"format": "explicit", "n": 2, "costs": {}, "default": "3"}, indent=2) + "\n"
+    assert serialize(all_default) == text
+    assert parse(text) == all_default
 
 
 @pytest.fixture

@@ -78,8 +78,19 @@ def test_nonzero_lower_bounds_rejected():
         with pytest.raises(ValueError, match="lower bound must be 0 or None"):
             LpProblem(2, [-1, -1], [0, bound])
     p = LpProblem(2, [-1, 0], ["0", None])  # minimize x0 >= 0; x1 is free
-    assert p.lower_bounds == [0, None]
+    assert p.lower_bounds == (0, None)
     p.add({0: -1, 1: -1}, "<=", -3)  # x0 + x1 >= 3
+    p.add({1: 1}, "<=", 2)
+    assert solve(p).point == (1, 2)
+
+
+def test_lower_bounds_cannot_be_assigned_past_the_check():
+    p = LpProblem(2, [-1, 0], [0, None])
+    for bound in (Fraction(5), "x", None):
+        with pytest.raises(TypeError):
+            p.lower_bounds[0] = bound
+    assert p.lower_bounds == (0, None)
+    p.add({0: -1, 1: -1}, "<=", -3)
     p.add({1: 1}, "<=", 2)
     assert solve(p).point == (1, 2)
 
@@ -298,6 +309,93 @@ def test_same_pivots_and_result_as_reference_simplex(problem):
     assert trace == expected_trace
     if sol.is_optimal:
         assert verify_point(problem, sol.point).feasible
+
+
+def assert_solves_as_fresh(problem):
+    """``problem`` solves as a new LpProblem holding its rows does, pivot for pivot."""
+    sol, trace = traced_solve(problem)
+    fresh = LpProblem(problem.num_vars, problem.objective, problem.lower_bounds)
+    for con in problem.constraints:
+        coef, rhs = rational_row(con)
+        fresh.add(coef, con.relation, rhs)
+    assert fresh.constraints == problem.constraints
+    fresh_sol, fresh_trace = traced_solve(fresh)
+    assert (sol.status, sol.value, sol.point) == (fresh_sol.status, fresh_sol.value, fresh_sol.point)
+    assert trace == fresh_trace
+    return sol
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_programs(), st.data())
+def test_rows_kept_across_solves_change_nothing(full, data):
+    # the rows of ``full`` join one problem in batches, with a solve after each
+    problem = LpProblem(full.num_vars, full.objective, full.lower_bounds)
+    rows = full.constraints
+    while True:
+        assert_solves_as_fresh(problem)
+        if len(problem.constraints) == len(rows):
+            break
+        upto = data.draw(st.integers(len(problem.constraints) + 1, len(rows)))
+        for con in rows[len(problem.constraints):upto]:
+            coef, rhs = rational_row(con)
+            problem.add(coef, con.relation, rhs)
+
+
+def test_rows_rebuilt_when_the_constraints_or_bounds_change():
+    p = LpProblem(2, [1, 1], [0, None])
+    p.add({0: 1}, "<=", 5)
+    p.add({1: 1}, "<=", 4)
+    p.add({0: 1, 1: 1}, "<=", 6)
+    assert assert_solves_as_fresh(p).value == 6
+    p.constraints.pop()  # fewer rows than were built
+    assert assert_solves_as_fresh(p).value == 9
+    p.add({0: 1, 1: 1}, "<=", 2)  # as many rows as were built, the last one new
+    assert assert_solves_as_fresh(p).value == 2
+    p.constraints[2] = p.constraints[0]  # a replaced entry
+    assert assert_solves_as_fresh(p).value == 9
+    del p.constraints[0]  # an entry gone from the front
+    assert assert_solves_as_fresh(p).value == 9
+    q = LpProblem(2, [0, 0])
+    q.add({0: 1, 1: 1}, "==", 3)
+    p.constraints[0] = q.constraints[0]  # a <= row replaced by an == row
+    assert assert_solves_as_fresh(p).value == 3
+    p.constraints.insert(0, q.constraints[0])
+    p.constraints.append(p.constraints[1])
+    assert len(p.constraints) == 4 and assert_solves_as_fresh(p).value == 3
+    p.constraints.clear()
+    assert solve(p).status is LpStatus.UNBOUNDED
+    p.add({0: -1}, "<=", -1)  # x0 >= 1; phase 2 enters this row's slack
+    p.add({0: 1}, "<=", 5)
+    p.add({1: 1}, "<=", 0)
+    assert assert_solves_as_fresh(p).value == 5
+    assert traced_solve(p)[1][-1] == (1, 3)  # the slack follows x0 and x1's two parts
+    p.lower_bounds = (0, 0)  # replaced bounds: x1's negative part is gone
+    p.add({1: -1}, "<=", 0)
+    assert assert_solves_as_fresh(p).value == 5
+    assert traced_solve(p)[1][-1] == (1, 2)
+
+
+@pytest.mark.parametrize("rhs", [7, Fraction(7, 3), "-5/2"])
+def test_integer_rows_are_stored_as_rational_rows_are(rhs):
+    coeffs = {0: 3, 4: -2, 1: 0, 2: 1, 3: -6}  # unsorted, with a zero
+    stored = []
+    for form in (int, Fraction, str):
+        p = LpProblem(5, [0] * 5)
+        p.add({i: form(v) for i, v in coeffs.items()}, "<=", rhs)
+        p.add({0: 1, 2: form(3)}, "==", rhs)  # one int among the others
+        stored.append(p.constraints)
+    assert stored[0] == stored[1] == stored[2]
+    for first, other in zip(stored[0], stored[1]):
+        assert list(first.coef.items()) == list(other.coef.items())
+        assert all(type(v) is int for v in (*first.coef.values(), first.rhs, first.den))
+    first = stored[0][0]
+    assert list(first.coef) == [0, 2, 3, 4]
+    assert Fraction(first.rhs, first.den) == Fraction(rhs)
+    assert first.den == Fraction(rhs).denominator
+    for coeffs in ({0: True}, {0: 1, 1: False}):
+        with pytest.raises(TypeError, match="got bool"):
+            p.add(coeffs, "<=", rhs)
+    assert len(p.constraints) == 2
 
 
 def test_coalition_programs_pivot_as_reference_simplex(monkeypatch):
