@@ -103,7 +103,9 @@ class ExplicitGame(Game):
         if isinstance(n, bool):
             raise TypeError("n must be an int, got bool")
         check_enum_limit(n, "an explicit cost table")
-        table = tuple(map(as_rational, costs))
+        table = tuple(costs)
+        if set(map(type, table)) != {Fraction}:  # all Fractions need no coercion
+            table = tuple(map(as_rational, table))
         if len(table) != 1 << n:
             raise ValueError(f"cost table must have 2^{n} = {1 << n} entries, got {len(table)}")
         if table[0] != 0:

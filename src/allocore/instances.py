@@ -95,6 +95,21 @@ def _coalition_keys(n: int) -> tuple[str, ...]:
     return tuple(keys)
 
 
+def _ascii_rational(text: str) -> Fraction | None:
+    """An ASCII "p", "-p" or "p/q" with q != 0 as the Fraction of its
+    integers; None for any other string, which the general parser reads."""
+    num, slash, den = text.partition("/")
+    if not (text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        return None
+    try:
+        if not slash:
+            return Fraction(int(num))
+        q = int(den)
+        return Fraction(int(num), q) if q else None
+    except ValueError:  # beyond the int conversion limit
+        return None
+
+
 def _cost_values(raw: dict) -> list[Fraction]:
     """The cost of each entry of a 'costs' object, in its order."""
     # one Fraction per distinct cost string; only strings are memoized,
@@ -105,7 +120,10 @@ def _cost_values(raw: dict) -> list[Fraction]:
         if type(value) is str:
             cost = rationals.get(value)
             if cost is None:
-                cost = rationals[value] = _parse_rational(value, f"cost of {key!r}")
+                cost = _ascii_rational(value)
+                if cost is None:  # not ASCII "p", "-p" or "p/q": the general parser
+                    cost = _parse_rational(value, f"cost of {key!r}")
+                rationals[value] = cost
         else:
             cost = _parse_rational(value, f"cost of {key!r}")
         values.append(cost)

@@ -101,17 +101,8 @@ class LpProblem:
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         self.num_vars = num_vars
-        self.objective = tuple(as_rational(v) for v in objective)
-        if len(self.objective) != num_vars:
-            raise ValueError("objective length does not match num_vars")
-        if lower_bounds is None:
-            lower_bounds = [None] * num_vars
-        if len(lower_bounds) != num_vars:
-            raise ValueError("lower_bounds length does not match num_vars")
-        bounds = [None if b is None else as_rational(b) for b in lower_bounds]
-        if any(bounds):  # None and 0 are the only falsy entries
-            raise ValueError("each lower bound must be 0 or None (free)")
-        self.lower_bounds: tuple[Fraction | None, ...] = tuple(bounds)
+        self.objective = objective
+        self.lower_bounds = [None] * num_vars if lower_bounds is None else lower_bounds
         self.constraints: list[Constraint] = []
         # solve's tableau rows, built under the bounds _built_for: one
         # (coef, rhs, den, basic column or -1) per constraint in
@@ -120,6 +111,33 @@ class LpProblem:
         self._built_from: list[Constraint] = []
         self._built: list[tuple[dict[int, int], int, int, int]] = []
         self._width = 0
+
+    # objective and lower_bounds are checked on every assignment as the
+    # constructor checks them, and stored as new tuples, so solve's kept
+    # rows see a replaced lower_bounds by identity
+    @property
+    def objective(self) -> tuple[Fraction, ...]:
+        return self._objective
+
+    @objective.setter
+    def objective(self, values: Sequence[object]) -> None:
+        objective = tuple(as_rational(v) for v in values)
+        if len(objective) != self.num_vars:
+            raise ValueError("objective length does not match num_vars")
+        self._objective = objective
+
+    @property
+    def lower_bounds(self) -> tuple[Fraction | None, ...]:
+        return self._lower_bounds
+
+    @lower_bounds.setter
+    def lower_bounds(self, values: Sequence[object | None]) -> None:
+        if len(values) != self.num_vars:
+            raise ValueError("lower_bounds length does not match num_vars")
+        bounds = [None if b is None else as_rational(b) for b in values]
+        if any(bounds):  # None and 0 are the only falsy entries
+            raise ValueError("each lower bound must be 0 or None (free)")
+        self._lower_bounds = tuple(bounds)
 
     def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
         """Add the row sum(coeffs[i] * x_i) (relation) rhs.

@@ -235,16 +235,32 @@ def _leaf_removal_table(w: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     leaves a spanning tree of (S - v) + {0}, which weighs at least
     c(S - v), and its leaf edge weighs at least near_v(S - v). Only totals
     come out, so tie-breaks cannot matter.
+
+    The nearest-edge table near_v is built by doubling over the agents u:
+    the entries whose X holds u are min(near_v(X - u), w(v, u)). Every
+    entry is a min that includes w(v, 0), the entry of the empty X, so that
+    entry is the table's maximum. An edge u with w(v, u) >= w(v, 0) changes
+    no entry, and the new half is a copy; one with w(v, u) at most the
+    smallest entry so far replaces every entry, and the new half is w(v, u)
+    repeated. Entries whose X holds v itself are never read (the
+    recurrence asks for near_v(S - v)), so at u = v the new half is a copy
+    as well. Either shortcut gives the table the elementwise min gives.
     """
-    # near[i][X] for agent i + 1, by doubling over the agents of X; entries
-    # whose X holds the agent itself read the zero diagonal and are never used
+    # near[i][X] for agent i + 1, by doubling over the agents of X
     near = []
     for v in range(1, n + 1):
         row = w[v]
-        table = [row[0]]
+        top = low = row[0]  # the table's maximum and its minimum so far
+        table = [top]
         for u in range(1, n + 1):
             c = row[u]
-            table += [a if a < c else c for a in table]
+            if c >= top or u == v:
+                table += table
+            elif c <= low:
+                table += [c] * len(table)
+                low = c
+            else:
+                table += [a if a < c else c for a in table]
         near.append(table)
     cost = [0] * (1 << n)
     members = [()]  # members[x]: (bit, near table) of each agent in x

@@ -58,6 +58,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             ExplicitGame(2, [0, -1, 0, 0])
 
+    def test_first_negative_mask_is_named(self):
+        minus = Fraction(-1)  # one object at masks 2 and 3, as parse shares them
+        for table in ([Fraction(0), Fraction(1), minus, minus], [0, 1, -1, Fraction(-2)]):
+            with pytest.raises(ValueError, match=r"^cost of coalition mask 2 is negative: -1$"):
+                ExplicitGame(2, table)
+
+    def test_float_or_bool_among_fractions_rejected(self):
+        for bad in (1.5, True):
+            with pytest.raises(TypeError, match="expected an exact rational"):
+                ExplicitGame(2, [Fraction(0), Fraction(1), bad, Fraction(-1)])
+        table = ExplicitGame(2, [Fraction(0), 1, "1/2", Fraction(3)]).table()
+        assert table == (0, 1, Fraction(1, 2), 3) and all(type(v) is Fraction for v in table)
+
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
             ExplicitGame(2, [0, 1, 2])

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -179,6 +180,66 @@ class TestParsingOffTheCanonicalForms:
         text = explicit_text(CANONICAL3)[:-2] + ', "1,3": "5", "1": "4"}}'
         with pytest.raises(InstanceParseError, match=r"duplicate key '1,3'"):
             parse(text)
+
+
+def parse_outcome(text: str):
+    try:
+        return parse(text)
+    except InstanceParseError as exc:
+        return str(exc)
+
+
+def bad_rational(value: str, reason: str) -> str:
+    return f"cost of '2': bad rational {value!r} ({reason})"
+
+
+# cost strings and what parse makes of them: an ASCII "p", "-p" or "p/q"
+# with q != 0 is read from its integers, any other string by the general
+# rational parser ("1_000" is a Fraction literal from Python 3.11 on)
+COST_STRINGS = {
+    "12": Fraction(12), "-7/3": Fraction(-7, 3), "+3": Fraction(3), " 3": Fraction(3),
+    "3.0": Fraction(3), "007/014": Fraction(1, 2), "-0": Fraction(0), "0/5": Fraction(0),
+    "٣": Fraction(3),
+    "1_000": Fraction(1000) if sys.version_info >= (3, 11)
+    else bad_rational("1_000", "Invalid literal for Fraction: '1_000'"),
+    "3/0": bad_rational("3/0", "Fraction(3, 0)"),
+    "1/-2": bad_rational("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    "1e3": bad_rational("1e3", "exponent notation is not accepted: '1e3'"),
+    "½": bad_rational("½", "Invalid literal for Fraction: '½'"),
+    "--3": bad_rational("--3", "Invalid literal for Fraction: '--3'"),
+    "3/": bad_rational("3/", "Invalid literal for Fraction: '3/'"),
+}
+
+
+@pytest.mark.parametrize("value", COST_STRINGS)
+def test_cost_string_parses_to_its_expected_outcome(value):
+    outcome = parse_outcome(explicit_text({**CANONICAL3, "2": value, "2,3": value}))
+    expected = COST_STRINGS[value]
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        assert outcome.costs[0b010] == outcome.costs[0b110] == expected
+
+
+def test_cost_string_past_the_int_conversion_limit_is_rejected():
+    # the limit's wording differs between Python versions
+    with pytest.raises(InstanceParseError, match=r"^cost of '2': bad rational '9{5000}' \(Exceeds the limit \(4300"):
+        parse(explicit_text({**CANONICAL3, "2": "9" * 5000}))
+
+
+def test_first_bad_string_is_named_at_its_first_key():
+    costs = {**CANONICAL3, "1": "1/2", "2": "x", "1,2": "1/0", "3": "x", "2,3": "1/2"}
+    assert parse_outcome(explicit_text(costs)) == bad_rational("x", "Invalid literal for Fraction: 'x'")
+    costs = {**CANONICAL3, "1": "y", "2": "1", "1,2": "y"}
+    assert parse_outcome(explicit_text(costs)) == (
+        "cost of '1': bad rational 'y' (Invalid literal for Fraction: 'y')"
+    )
+
+
+def test_strings_mixed_with_an_int_and_a_list_are_rejected():
+    costs = {**CANONICAL3, "2": 1, "1,2": ["1"], "3": "x"}
+    with pytest.raises(InstanceParseError, match=r"^cost of '1,2': values must be integers or 'p/q' strings$"):
+        parse(explicit_text(costs))
 
 
 def random_table(rng: Random, n: int) -> list[Fraction]:

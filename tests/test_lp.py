@@ -95,6 +95,36 @@ def test_lower_bounds_cannot_be_assigned_past_the_check():
     assert solve(p).point == (1, 2)
 
 
+def test_replaced_lower_bounds_are_checked():
+    p = LpProblem(1, [-1], [0])
+    for bounds, error in (((Fraction(5),), ValueError), (("x",), ValueError),
+                          ((1.5,), TypeError), ((0, 0), ValueError), ((), ValueError)):
+        with pytest.raises(error):
+            p.lower_bounds = bounds
+        assert p.lower_bounds == (0,)
+    p.add({0: 1}, "<=", 9)
+    assert solve(p).value == 0  # x0 >= 0 still holds, not the refused x0 >= 5
+    bounds = p.lower_bounds
+    p.lower_bounds = ["0"]  # a valid replacement is coerced into a new tuple
+    assert p.lower_bounds == (0,) and type(p.lower_bounds) is tuple
+    assert p.lower_bounds is not bounds
+
+
+def test_replaced_objective_is_checked():
+    q = LpProblem(2, [1, 1], [0, 0])
+    q.add({0: 1}, "<=", 1)
+    q.add({1: 1}, "<=", 2)
+    for objective, error in (((1,), ValueError), ((1, 1, 1), ValueError),
+                             ((1, 1.5), TypeError), ((1, True), TypeError)):
+        with pytest.raises(error):
+            q.objective = objective
+        assert q.objective == (1, 1)
+    assert solve(q).value == 3  # x1's term is still there
+    q.objective = ["1/2", 3]
+    assert q.objective == (Fraction(1, 2), 3) and type(q.objective) is tuple
+    assert solve(q).value == Fraction(13, 2)
+
+
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     p = LpProblem(4, ["3/4", -150, "1/50", -6], [0, 0, 0, 0])

@@ -50,6 +50,24 @@ class TestGraphInstance:
         with pytest.raises(TypeError, match="n must be an int, got bool"):
             GraphInstance(True, [[0, 1], [1, 0]])
 
+    def test_first_bad_weight_in_row_major_order_is_reported(self):
+        # the negative entry (0,1) comes before the float (0,2)
+        with pytest.raises(ValueError, match=r"^negative weight on edge \(0,1\): -1$"):
+            GraphInstance(2, [[0, -1, 1.5], [-1, 0, 1], [1.5, 1, 0]])
+        # the float (0,1) comes before the negative entry (0,2)
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            GraphInstance(2, [[0, 1.5, -1], [1.5, 0, 1], [-1, 1, 0]])
+        # (1,0) is asymmetric with (0,1), but the negative (1,2) is reported
+        with pytest.raises(ValueError, match=r"^negative weight on edge \(1,2\): -1/2$"):
+            GraphInstance(2, [[0, 1, 1], [2, 0, Fraction(-1, 2)], [1, Fraction(-1, 2), 0]])
+        with pytest.raises(ValueError, match=r"^weights are not symmetric at \(1,2\)$"):
+            GraphInstance(2, [[0, 1, 1], [1, 0, "1/3"], [1, "1/2", 0]])
+        assert GraphInstance(2, [[0, 1, 1], [1, 0, "1/3"], [1, "2/6", 0]]).weights[2][1] == Fraction(1, 3)
+        # the diagonal is never read, so anything may stand there
+        assert GraphInstance(1, [[None, "1/2"], [Fraction(1, 2), 1.5]]).weights == (
+            (0, Fraction(1, 2)), (Fraction(1, 2), 0)
+        )
+
     def test_from_edges_completion_never_enters_a_tree(self):
         # a path 0-1-2; the missing edge 0-2 is filled with something huge
         g = GraphInstance.from_edges(2, [(0, 1, 2), (1, 2, 3)])
@@ -351,6 +369,33 @@ def test_tables_match_reference_prim(graph):
     assert graph.monotonized_table() == tuple(superset_minimum(reference, graph.n))
     assert all(isinstance(v, Fraction) for v in graph.monotonized_table())
     assert MstGame(graph, monotonized=True).table() == graph.monotonized_table()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_nearest_edge_shortcuts_match_reference_prim(data):
+    # weights in {0, 1, 2} make the copy (an edge at least the supplier
+    # edge, ties included), the fill (an edge at most every edge so far) and
+    # the elementwise min all fire while the nearest-edge tables double
+    n = data.draw(st.integers(1, 8))
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            w[i][j] = w[j][i] = data.draw(st.integers(0, 2))
+    graph = GraphInstance(n, w)
+    reference = reference_cost_table(graph)
+    assert graph.cost_table() == tuple(reference)
+    assert graph.monotonized_table() == tuple(superset_minimum(reference, n))
+
+
+def test_equal_weights_table_at_n_12():
+    # every doubling step copies: each edge ties the supplier edge
+    n = 12
+    graph = GraphInstance(n, [[3] * (n + 1) for _ in range(n + 1)])
+    table = graph.cost_table()
+    assert table == tuple(reference_cost_table(graph))
+    assert table == tuple(Fraction(3 * bits.bit_count()) for bits in range(1 << n))
+    assert graph.monotonized_table() == table
 
 
 def fixed_graph(kind, n, seed):
