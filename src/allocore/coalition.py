@@ -45,6 +45,8 @@ class Coalition(_CoalitionFields):
     def from_members(cls, members: Iterable[int], n: int) -> "Coalition":
         bits = 0
         for agent in members:
+            if isinstance(agent, bool) or not isinstance(agent, int):
+                raise TypeError(f"agents must be ints, got {agent!r}")
             if not 1 <= agent <= n:
                 raise ValueError(f"agent {agent} not in 1..{n}")
             bits |= 1 << (agent - 1)

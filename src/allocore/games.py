@@ -100,8 +100,10 @@ class ExplicitGame(Game):
     """A game backed by an explicit 2^n cost table indexed by bitmask."""
 
     def __init__(self, n: int, costs: Sequence[object]):
-        if isinstance(n, bool):
-            raise TypeError("n must be an int, got bool")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an int, got {type(n).__name__}")
+        if n < 0:
+            raise ValueError("agent count must be nonnegative")
         check_enum_limit(n, "an explicit cost table")
         table = tuple(costs)
         if set(map(type, table)) != {Fraction}:  # all Fractions need no coercion

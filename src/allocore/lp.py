@@ -20,15 +20,16 @@ else and nothing can change a row after ``add`` checked it. The objective
 and the lower bounds are dense tuples, one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
-over one positive integer denominator of its own. A problem translates
-each stored row into a tableau row once (columns, slack, sign, rhs and
-den) and later solves copy it, so row generation, which only appends rows
-between solves, translates each row once. One loop does every row update:
-a pivot clears its column from the other rows and the cost row with it,
-and pricing out the objective runs through it too. It touches only the
-rows with a nonzero in the pivot column and does only integer arithmetic
-(row i becomes (p * row_i - f * pivot_row) / (q_i * p), then is divided
-by the gcd of its entries). Every tableau entry is the same
+over one positive integer denominator of its own. A problem is append-only:
+its variables, objective and bounds are fixed at construction, and ``add``
+translates each row into its tableau row (columns, slack, sign, rhs and
+den) as it stores it, so a solve only copies the rows, and row generation,
+which appends rows between solves, translates each row once. One loop does
+every row update: a pivot clears its column from the other rows and the
+cost row with it, and pricing out the objective runs through it too. It
+touches only the rows with a nonzero in the pivot column and does only
+integer arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p),
+then is divided by the gcd of its entries). Every tableau entry is the same
 rational as in a dense Fraction tableau, so the pivot choices, and the
 returned values, are those of the textbook method. The optimum is read out
 on integers: a variable's two parts are never both basic, so x is the
@@ -88,7 +89,10 @@ class LpSolution(NamedTuple):
 
 
 class LpProblem:
-    """max objective . x subject to rows, each variable free or x_i >= 0."""
+    """max objective . x subject to rows, each variable free or x_i >= 0.
+
+    num_vars, the objective and the lower bounds are fixed and checked at
+    construction; ``add`` is the only change, and it appends a row."""
 
     def __init__(
         self,
@@ -96,62 +100,69 @@ class LpProblem:
         objective: Sequence[object],
         lower_bounds: Sequence[object | None] | None = None,
     ):
-        if isinstance(num_vars, bool):
-            raise TypeError("num_vars must be an int, got bool")
+        if isinstance(num_vars, bool) or not isinstance(num_vars, int):
+            raise TypeError(f"num_vars must be an int, got {type(num_vars).__name__}")
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        self.num_vars = num_vars
-        self.objective = objective
-        self.lower_bounds = [None] * num_vars if lower_bounds is None else lower_bounds
-        self.constraints: list[Constraint] = []
-        # solve's tableau rows, built under the bounds _built_for: one
-        # (coef, rhs, den, basic column or -1) per constraint in
-        # _built_from, their slack columns ending before _width
-        self._built_for: tuple[Fraction | None, ...] | None = None
-        self._built_from: list[Constraint] = []
-        self._built: list[tuple[dict[int, int], int, int, int]] = []
-        self._width = 0
+        self._objective = tuple(as_rational(v) for v in objective)
+        if len(self._objective) != num_vars:
+            raise ValueError("objective length does not match num_vars")
+        if lower_bounds is None:
+            lower_bounds = (None,) * num_vars
+        if len(lower_bounds) != num_vars:
+            raise ValueError("lower_bounds length does not match num_vars")
+        bounds = tuple(None if b is None else as_rational(b) for b in lower_bounds)
+        if any(bounds):  # None and 0 are the only falsy entries
+            raise ValueError("each lower bound must be 0 or None (free)")
+        self._num_vars = num_vars
+        self._lower_bounds = bounds
+        self._constraints: list[Constraint] = []
+        # Virtual column layout: one column per nonnegative variable, two per
+        # free variable (positive and negative parts); only the first is stored.
+        col_var: list[tuple[int, int]] = []  # (variable index, sign)
+        first_col: list[int] = []
+        for i, lb in enumerate(bounds):
+            first_col.append(len(col_var))
+            col_var.append((i, 1))
+            if lb is None:
+                col_var.append((i, -1))
+        self._col_var, self._first_col = col_var, first_col
+        self._free = frozenset(first_col[i] for i, lb in enumerate(bounds) if lb is None)
+        # solve's tableau rows, one (coef, rhs, den, basic column or -1) per
+        # constraint, their slack columns ending before _width
+        self._rows: list[tuple[dict[int, int], int, int, int]] = []
+        self._width = len(col_var)
 
-    # objective and lower_bounds are checked on every assignment as the
-    # constructor checks them, and stored as new tuples, so solve's kept
-    # rows see a replaced lower_bounds by identity
+    @property
+    def num_vars(self) -> int:
+        return self._num_vars
+
     @property
     def objective(self) -> tuple[Fraction, ...]:
         return self._objective
-
-    @objective.setter
-    def objective(self, values: Sequence[object]) -> None:
-        objective = tuple(as_rational(v) for v in values)
-        if len(objective) != self.num_vars:
-            raise ValueError("objective length does not match num_vars")
-        self._objective = objective
 
     @property
     def lower_bounds(self) -> tuple[Fraction | None, ...]:
         return self._lower_bounds
 
-    @lower_bounds.setter
-    def lower_bounds(self, values: Sequence[object | None]) -> None:
-        if len(values) != self.num_vars:
-            raise ValueError("lower_bounds length does not match num_vars")
-        bounds = [None if b is None else as_rational(b) for b in values]
-        if any(bounds):  # None and 0 are the only falsy entries
-            raise ValueError("each lower bound must be 0 or None (free)")
-        self._lower_bounds = tuple(bounds)
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return tuple(self._constraints)
 
     def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
         """Add the row sum(coeffs[i] * x_i) (relation) rhs.
 
         ``coeffs`` maps variable indices in 0..num_vars-1 to coefficients;
-        absent variables read 0 and zero coefficients are dropped.
+        absent variables read 0 and zero coefficients are dropped. A row
+        that fails a check leaves the problem as it was.
         """
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         row = {}
         last, ascending, ints = -1, True, True  # builders emit ascending keys; sort only other rows
         for i, v in coeffs.items():
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.num_vars:
-                raise ValueError(f"variable index {i!r} not in 0..{self.num_vars - 1}")
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self._num_vars:
+                raise ValueError(f"variable index {i!r} not in 0..{self._num_vars - 1}")
             ascending = ascending and i > last
             last = i
             if type(v) is not int:  # a bool is no int here, so it still fails
@@ -168,7 +179,21 @@ class LpProblem:
         else:
             nums, den = over_common_denominator([*row.values(), b])
             coef, num = dict(zip(row, nums)), nums[-1]
-        self.constraints.append(Constraint(MappingProxyType(coef), relation, num, den))
+        self._constraints.append(Constraint(MappingProxyType(coef), relation, num, den))
+        # The tableau row: a <= row gets a slack column, +1 over den, and a
+        # row with a negative rhs is negated. Its basic column is then the
+        # slack when it still reads +1, otherwise an artificial one, which
+        # solve adds after all real columns.
+        first_col = self._first_col
+        tcoef = {first_col[i]: c for i, c in coef.items()}
+        basic = -1
+        if relation == LE:
+            tcoef[self._width] = den
+            basic = self._width if num >= 0 else -1
+            self._width += 1
+        if num < 0:
+            tcoef = {j: -v for j, v in tcoef.items()}
+        self._rows.append((tcoef, abs(num), den, basic))
 
 
 class VerifyResult(NamedTuple):
@@ -327,44 +352,9 @@ def solve(problem: LpProblem) -> LpSolution:
 
     Deterministic: identical problems yield bit-identical solutions.
     """
-    # Virtual column layout: one column per nonnegative variable, two per
-    # free variable (positive and negative parts); only the first is stored.
-    col_var: list[tuple[int, int]] = []  # (variable index, sign)
-    first_col: list[int] = []
-    for i, lb in enumerate(problem.lower_bounds):
-        first_col.append(len(col_var))
-        col_var.append((i, 1))
-        if lb is None:
-            col_var.append((i, -1))
-    nstruct = len(col_var)
-    free = frozenset(first_col[i] for i, lb in enumerate(problem.lower_bounds) if lb is None)
-
-    # Each <= row gets a slack column, +1 over the row's den; a row with a
-    # negative rhs is negated. Its basic column is then the slack when it
-    # still reads +1, otherwise an artificial column (after all real ones).
-    # A row is translated once per problem, and later solves copy it: only
-    # rows appended since the last solve are new, unless the constraint list
-    # changed otherwise or the bounds were replaced, which rebuilds them all.
-    cons, done, built = problem.constraints, problem._built_from, problem._built
-    if (problem._built_for is not problem.lower_bounds or len(done) > len(cons)
-            or not all(map(operator.is_, done, cons))):
-        problem._built_for = problem.lower_bounds
-        done.clear()
-        built.clear()
-        problem._width = nstruct
-    width = problem._width
-    for con in cons[len(done):]:
-        coef = {first_col[i]: c for i, c in con.coef.items()}
-        basic = -1
-        if con.relation == LE:
-            coef[width] = con.den
-            basic = width if con.rhs >= 0 else -1
-            width += 1
-        if con.rhs < 0:
-            coef = {j: -v for j, v in coef.items()}
-        built.append((coef, abs(con.rhs), con.den, basic))
-        done.append(con)
-    problem._width = width
+    # Copies of the rows add built, with an artificial column for each row
+    # that has no basic slack.
+    width, built = problem._width, problem._rows
     rows = [_Row(coef.copy(), rhs, den) for coef, rhs, den, _ in built]
     basis = [basic for *_, basic in built]
     art_rows = [r for r, basic in enumerate(basis) if basic < 0]
@@ -375,7 +365,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if art_rows:
         # Phase 1: maximize -(sum of artificials).
         cost = _Row({width + k: -1 for k in range(len(art_rows))}, 0, 1)
-        tab = _Tableau(rows, basis, cost, free)
+        tab = _Tableau(rows, basis, cost, problem._free)
         verdict = tab.run_simplex()
         if verdict != "optimal":  # the phase-1 objective is bounded by 0
             raise AssertionError("phase 1 cannot be unbounded")
@@ -400,14 +390,15 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # Phase 2: the real objective over the current basis.
     obj, d = over_common_denominator(problem.objective)
-    cost = _Row({first_col[i]: c for i, c in enumerate(obj) if c}, 0, d)
-    tab = _Tableau(rows, basis, cost, free)
+    cost = _Row({problem._first_col[i]: c for i, c in enumerate(obj) if c}, 0, d)
+    tab = _Tableau(rows, basis, cost, problem._free)
     verdict = tab.run_simplex()
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
     # x as integers over p: a variable's two columns are never both basic.
-    basic = [(row, bcol) for row, bcol in zip(rows, basis) if bcol < nstruct and row.rhs]
+    col_var = problem._col_var
+    basic = [(row, bcol) for row, bcol in zip(rows, basis) if bcol < len(col_var) and row.rhs]
     p = lcm(*(row.den for row, _ in basic))
     xs = [0] * problem.num_vars
     for row, bcol in basic:

@@ -74,8 +74,11 @@ class TestConstruction:
     def test_table_length_checked(self):
         with pytest.raises(ValueError):
             ExplicitGame(2, [0, 1, 2])
-        with pytest.raises(TypeError, match="n must be an int, got bool"):
-            ExplicitGame(True, [0, 1])
+        for n, name in ((True, "bool"), (2.0, "float")):
+            with pytest.raises(TypeError, match=f"^n must be an int, got {name}$"):
+                ExplicitGame(n, [0, 1, 1, 2])
+        with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
+            ExplicitGame(-1, [0])
 
     def test_enumeration_limit(self):
         with pytest.raises(EnumerationLimitError):

@@ -204,10 +204,12 @@ def test_result_records_are_immutable_value_records(make, names, defaults):
         (lambda: Coalition._make((1, 2.0)), TypeError),
         (lambda: Coalition(1, 2)._replace(n=True), TypeError),
         (lambda: Coalition.from_members([1], True), TypeError),
+        (lambda: Coalition.from_members([True], 2), TypeError),
+        (lambda: Coalition.from_members([1.0], 2), TypeError),
     ],
     ids=["constructor", "_replace", "from_members", "_make", "constructor-float-bits",
          "constructor-bool-bits", "constructor-bool-n", "_make-float-n", "_replace-bool-n",
-         "from_members-bool-n"],
+         "from_members-bool-n", "from_members-bool-agent", "from_members-float-agent"],
 )
 def test_coalition_checks_every_construction(build, error):
     with pytest.raises(error):
