@@ -41,6 +41,16 @@ checked with verify_point, which also compares integers: each stored row
 against the point over its common denominator. No floating point is used
 anywhere. Column and row order are fixed and there is no presolve, so
 identical problems give identical solutions.
+
+When every row is <=, the optimum also carries its dual certificate: one
+multiplier y_r per stored row, minus the reduced cost of row r's slack
+column in the final cost row (negating a row with a negative rhs negates
+its slack column and its tableau multiplier alike, so the sign holds).
+Only rows whose slack has a nonzero reduced cost are visited, and no
+Fraction is built for a zero multiplier. ``solve`` checks the certificate
+on integers next to verify_point: y >= 0, (A^T y)_j = c_j on free
+columns and >= c_j on x >= 0 columns, and b . y equals the value, which
+proves the point optimal. Programs with an == row get no duals.
 """
 
 from __future__ import annotations
@@ -82,6 +92,7 @@ class LpSolution(NamedTuple):
     status: LpStatus
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
+    duals: tuple[Fraction, ...] | None = None  # one per stored row; all-<= optima only
 
     @property
     def is_optimal(self) -> bool:
@@ -413,4 +424,52 @@ def solve(problem: LpProblem) -> LpSolution:
             f"simplex returned an infeasible point: rows {check.violated_constraints}, "
             f"bounds {check.violated_bounds}"
         )
-    return LpSolution(LpStatus.OPTIMAL, value, point)
+    duals = None
+    if width - len(col_var) == len(built):  # every row is <=, so each has a slack
+        support = _dual_support(tab.cost, len(col_var))
+        duals = _check_duals(problem, support, tab.cost.den, obj, d, value)
+    return LpSolution(LpStatus.OPTIMAL, value, point, duals)
+
+
+def _dual_support(cost: _Row, first_slack: int) -> dict[int, int]:
+    """Row r's multiplier, an integer over cost.den, for each row r with a
+    nonzero one: minus the reduced cost of its slack column first_slack + r."""
+    return {j - first_slack: -v for j, v in cost.coef.items() if j >= first_slack}
+
+
+def _check_duals(
+    problem: LpProblem, support: dict[int, int], den: int, obj: list[int], d: int,
+    value: Fraction,
+) -> tuple[Fraction, ...]:
+    """The duals of an all-<= problem, y_r = support[r] / den and 0 off the
+    support, once they certify ``value`` as the optimum of the objective
+    obj / d; AssertionError if they do not. The check runs on integers over
+    L, the lcm of the support rows' denominators: y_r * A_r is
+    support[r] * (L / den_r) * coef over den * L."""
+    negative = sorted(r for r, y in support.items() if y < 0)
+    if negative:
+        raise AssertionError(f"negative dual multiplier on rows {negative}")
+    cons = problem._constraints
+    scale = lcm(*(cons[r].den for r in support))
+    aty = [0] * problem._num_vars
+    by = 0
+    for r, y in support.items():
+        con = cons[r]
+        f = y * (scale // con.den)
+        by += f * con.rhs
+        for i, a in con.coef.items():
+            aty[i] += f * a
+    # (A^T y)_i = aty[i] / (den * scale) against c_i = obj[i] / d
+    scale *= den
+    short = [
+        i for i, (a, c, lb) in enumerate(zip(aty, obj, problem._lower_bounds))
+        if (a * d != c * scale if lb is None else a * d < c * scale)
+    ]
+    if short:
+        raise AssertionError(f"duals miss the objective on variables {short}")
+    if by * value.denominator != value.numerator * scale:
+        raise AssertionError(f"dual value {Fraction(by, scale)} differs from the optimum {value}")
+    duals = [_ZERO] * len(cons)
+    for r, y in support.items():
+        duals[r] = Fraction(y, den)
+    return tuple(duals)

@@ -12,28 +12,31 @@ separation to core separation.
 For games with empty core the relaxation optima are linked by exact
 identities: the minimum subsidy equals (1 - gamma*) c(N), equals
 eps_m*/(1 + eps_m*) c(N), equals the cost of stability, equals n * eps_w*.
-Gamma, eps_m and the cost of stability are functions of one number,
-m = max x(N) over all stability constraints, so they come from one core
-solve and the gamma and multiplicative identities hold by algebra; the
-subsidy and weak-epsilon programs are the independent cross-checks of
-cost of stability = subsidy = n * eps_w. ``full_report`` checks every
-identity before returning.
+All five are functions of one number, m = max x(N) over all stability
+constraints, so they come from one core solve and the identities hold by
+algebra. With x_m the core solve's maximizer, the weak epsilon is
+(c(N) - m)/n with witness x_m + eps_w * 1, and the minimum subsidy is
+c(N) - m with witness (x_m + t, t), t putting the whole subsidy on agent
+1: both are feasible since x_m(S) <= c(S), and optimal since lowering a
+feasible point by its epsilons or subsidies gives a point of the core
+program. The core optimum m is exact twice over: the final scan shows its
+point feasible for every coalition, and its dual certificate (a balanced
+cover of N, checked by ``solve``) shows no point of the working set does
+better. ``full_report`` checks the remaining identities before returning.
 
 Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
 (``_solve_coalitions``, the one builder of coalition rows). The working
 set starts from the n singleton rows, plus the grand-coalition row where
 the program has one; these bound every program. A proper row reads
-x(S) - debits - slack: each member's share gives up its debit (eps in
-the weak epsilon core, agent i's subsidy t_i in the extended core) and
-the row gives up one slack (eps in the least core). After each exact
-solve, one scan of all coalitions on integers (the point and the cost
-table over one common denominator, x(S) - debits from one subset-sum
-pass over x - y[debit], less the slack) finds the violated rows, and the
-n most violated, ties to the smaller bitmask, join the working set. When
-the scan finds none, the working-set optimum is feasible for the full
-program and at least its optimum (the working set is a relaxation), so
-it is the exact optimum. On three random rational-model spanning-tree
+x(S) - slack, the row giving up one slack (eps in the least core). After
+each exact solve, one scan of all coalitions on integers (the point and
+the cost table over one common denominator, x(S) from one subset-sum pass,
+less the slack) finds the violated rows, and the n most violated, ties to
+the smaller bitmask, join the working set. When the scan finds none, the
+working-set optimum is feasible for the full program and at least its
+optimum (the working set is a relaxation), so it is the exact optimum.
+On three random rational-model spanning-tree
 games per size, the nonnegative almost-core program took 4 to 8 rounds
 and ended with 36 to 56 of its 510 rows at n = 9, 53 to 72 of 4094 at
 n = 12 and 45 to 112 of 16382 at n = 14.
@@ -76,15 +79,12 @@ def _require_multi_agent(game: Game, what: str) -> None:
 
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, debit: Sequence[int] | None = None, slack: int | None = None,
-    grand: str | None = None,
+    what: str, slack: int | None = None, grand: str | None = None,
 ) -> LpSolution:
-    """The optimum of max objective . (x, y) subject to
-    x(S) - sum over i in S of y[debit[i]] - y[slack] <= c(S) for
-    every proper coalition S, plus x(N) (grand) c(N) when ``grand`` names a
-    relation; x are the first n variables and y the rest. ``debit`` names,
-    per agent, the y variable taken off its share; ``slack`` the one taken
-    off each proper row once.
+    """The optimum of max objective . (x, y) subject to x(S) - y[slack] <= c(S)
+    for every proper coalition S, plus x(N) (grand) c(N) when ``grand``
+    names a relation; x are the first n variables and y the rest.
+    ``slack`` names the y variable taken off each proper row.
 
     Solved by row generation (see the module docstring). Every program here
     is feasible and its seed rows bound it, so a working set that does not
@@ -101,12 +101,8 @@ def _solve_coalitions(
     def add(bits: int, rel: str) -> None:
         members = bits_members(bits)
         row = dict.fromkeys((i - 1 for i in members), 1)
-        if bits != full:
-            if debit is not None:
-                for i in members:
-                    row[debit[i - 1]] = row.get(debit[i - 1], 0) - 1
-            if slack is not None:
-                row[slack] = -1
+        if bits != full and slack is not None:
+            row[slack] = -1
         problem.add(row, rel, game.cost_bits(bits))
 
     working = {1 << i for i in range(n)} - {full}
@@ -118,10 +114,9 @@ def _solve_coalitions(
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
         point, scale = over_common_denominator(solution.point, d)
-        shares = point[:n] if debit is None else [a - point[j] for a, j in zip(point, debit)]
         off = 0 if slack is None else point[slack]
         factor = scale // d
-        excess = [a - off - factor * c for a, c in zip(subset_sums(shares), table)]
+        excess = [a - off - factor * c for a, c in zip(subset_sums(point[:n]), table)]
         violated = heapq.nlargest(
             n, [b for b in range(1, full) if excess[b] > 0], key=excess.__getitem__
         )
@@ -164,7 +159,8 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
 
 
 class _Shareable(NamedTuple):
-    """What follows from m = max x(N) over every stability constraint, N included."""
+    """What follows from m = max x(N) over every stability constraint, N
+    included, and its maximizer x_m."""
 
     maximizer: tuple[Fraction, ...]
     core: tuple[Fraction, ...] | None  # the maximizer when m = c(N)
@@ -172,11 +168,16 @@ class _Shareable(NamedTuple):
     mult: tuple[Fraction, tuple[Fraction, ...]] | None
     gamma: Fraction | None  # m / c(N)
     cost_of_stability: Fraction  # c(N) - m
+    weak_core_eps: tuple[Fraction, tuple[Fraction, ...]]  # (c(N) - m)/n, x_m + eps
+    # c(N) - m, (x_m + t, t) with t the whole subsidy on agent 1
+    extended_core_delta: tuple[Fraction, tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
 
 
 def _max_shareable(game: Game) -> _Shareable:
-    solution = core_optimum(game, [_ONE] * game.n)
+    n = game.n
+    solution = core_optimum(game, [_ONE] * n)
     m, x = solution.value, solution.point
+    _ensure(solution.duals is not None, "the core optimum came back without its dual certificate")
     c_grand = game.grand_cost()
     if m == c_grand:
         mult = _ZERO, x
@@ -186,7 +187,13 @@ def _max_shareable(game: Game) -> _Shareable:
         factor = c_grand / m
         mult = factor - 1, tuple(factor * v for v in x)
     gamma = None if c_grand == 0 else m / c_grand
-    return _Shareable(x, x if m == c_grand else None, mult, gamma, c_grand - m)
+    cos = c_grand - m
+    eps_w = cos / n if n else cos  # no agents: c(N) = m = 0
+    t = tuple(cos if i == 0 else _ZERO for i in range(n))
+    return _Shareable(
+        x, x if m == c_grand else None, mult, gamma, cos,
+        (eps_w, tuple(v + eps_w for v in x)), (cos, (tuple(v + s for v, s in zip(x, t)), t)),
+    )
 
 
 def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
@@ -199,27 +206,21 @@ def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
     return core is not None, core
 
 
-def _epsilon_relaxation(
-    game: Game, *, debit: Sequence[int] | None = None, slack: int | None = None
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """min eps >= 0 with x(S) - debits - slack <= c(S) for proper S and
-    x(N) = c(N), eps being variable n."""
+def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Smallest uniform additive relaxation (the least-core value) and a witness:
+    min eps >= 0 with x(S) - eps <= c(S) for proper S and x(N) = c(N)."""
     n = game.n
     solution = _solve_coalitions(
-        game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="an epsilon-core program",
-        debit=debit, slack=slack, grand="==",
+        game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="the least-core program",
+        slack=n, grand="==",
     )
     return -solution.value, solution.point[:n]
 
 
-def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Smallest uniform additive relaxation (the least-core value) and a witness."""
-    return _epsilon_relaxation(game, slack=game.n)
-
-
 def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Smallest per-capita additive relaxation, eps scaled by coalition size."""
-    return _epsilon_relaxation(game, debit=[game.n] * game.n)
+    """Smallest per-capita additive relaxation, eps scaled by coalition size,
+    and a witness: (c(N) - m)/n from the core solve (module docstring)."""
+    return _max_shareable(game).weak_core_eps
 
 
 def gamma_approx(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -243,14 +244,10 @@ def extended_core_delta(
     """Minimum total subsidy t(N) restoring stability, with a witness (x, t).
 
     The witness satisfies t >= 0, x(N) = c(N), and (x - t)(S) <= c(S) for
-    every proper coalition.
+    every proper coalition. The minimum is c(N) - m from the core solve, all
+    of it on agent 1 (module docstring).
     """
-    n = game.n
-    solution = _solve_coalitions(
-        game, [_ZERO] * n + [-_ONE] * n, [None] * n + [_ZERO] * n, what="the subsidy program",
-        debit=range(n, 2 * n), grand="==",
-    )
-    return -solution.value, (solution.point[:n], solution.point[n:])
+    return _max_shareable(game).extended_core_delta
 
 
 class RelaxationReport(NamedTuple):
@@ -285,12 +282,13 @@ class RelaxationReport(NamedTuple):
 def full_report(game: Game) -> RelaxationReport:
     """Compute all relaxation quantities and verify their exact relations.
 
-    One core solve gives the core witness, gamma, eps_m and the cost of
-    stability; the almost-core, epsilon and subsidy optima each come from
-    their own program. For empty-core games the equality chain linking the
-    subsidy, gamma, multiplicative, cost-of-stability and weak-epsilon
-    optima is asserted exactly; the weak/strong epsilon inequalities are
-    asserted always.
+    One certified core solve gives the core witness, gamma, eps_m, the cost
+    of stability, the weak epsilon and the minimum subsidy; the two
+    almost-core optima and the least-core value each come from their own
+    program. The weak/strong epsilon inequalities, which check the
+    least-core program against the core solve, and core emptiness against
+    the almost-core optimum are asserted always; for empty-core games the
+    gamma and multiplicative identities are asserted exactly.
     """
     n = game.n
     c_grand = game.grand_cost()
@@ -300,21 +298,18 @@ def full_report(game: Game) -> RelaxationReport:
     ac_val, ac_x = almost_core_optimum(game, False)
     acn_val, acn_x = almost_core_optimum(game, True)
     eps_s, eps_s_x = least_core_eps(game)
-    eps_w, eps_w_x = weak_core_eps(game)
-    delta_ec, (ec_x, ec_t) = extended_core_delta(game)
+    eps_w, eps_w_x = shareable.weak_core_eps
+    delta_ec, (ec_x, ec_t) = shareable.extended_core_delta
 
     _ensure(has_core == (ac_val >= c_grand), "core emptiness disagrees with the almost-core optimum")
     _ensure(eps_w <= eps_s, "weak epsilon exceeded the strong epsilon")
     _ensure((n - 1) * eps_w >= eps_s, "strong epsilon exceeded (n-1) times the weak epsilon")
     if has_core:
-        _ensure(cos == 0 and delta_ec == 0 and eps_s == 0 and eps_w == 0,
-                "balanced game with a nonzero relaxation gap")
+        _ensure(cos == 0 and eps_s == 0, "balanced game with a nonzero relaxation gap")
         _ensure(mult is not None and mult[0] == 0, "balanced game with nonzero multiplicative gap")
         _ensure(gamma is None or gamma == 1, "balanced game with gamma below 1")
     else:
         _ensure(gamma is not None, "empty core forces c(N) > 0, gamma must be defined")
-        _ensure(delta_ec == cos, "subsidy optimum differs from the cost of stability")
-        _ensure(cos == n * eps_w, "cost of stability differs from n times the weak epsilon")
         _ensure((1 - gamma) * c_grand == cos, "gamma identity failed")
         if mult is None:
             _ensure(gamma == 0, "no finite multiplicative gap although gamma > 0")

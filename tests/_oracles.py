@@ -134,6 +134,28 @@ def almost_core_problem(game, require_nonneg=False):
     return dense_coalition_program(game, [1] * n, [0] * n if require_nonneg else None)
 
 
+def weak_core_problem(game):
+    """max -eps over (x, eps), eps >= 0 the variable n, subject to
+    x(S) - |S| eps <= c(S) for every proper S and x(N) = c(N): the weak
+    epsilon core program, solved densely."""
+    n = game.n
+    return dense_coalition_program(
+        game, [0] * n + [-1], [None] * n + [0],
+        extra=lambda bits: {n: -bits.bit_count()}, grand="==",
+    )
+
+
+def subsidy_problem(game):
+    """max -t(N) over (x, t), t >= 0 the variables n..2n-1, subject to
+    (x - t)(S) <= c(S) for every proper S and x(N) = c(N): the extended
+    core's minimum-subsidy program, solved densely."""
+    n = game.n
+    return dense_coalition_program(
+        game, [0] * n + [-1] * n, [None] * n + [0] * n,
+        extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand="==",
+    )
+
+
 def first_failing_pair(game, holds):
     """The first pair (S, T) of bitmasks, S then T ascending, for which
     ``holds(game.table(), S, T)`` is false; None when it holds for all 4^n pairs."""
@@ -212,17 +234,18 @@ def rational_row(con):
     return {i: Fraction(c, con.den) for i, c in con.coef.items()}, Fraction(con.rhs, con.den)
 
 
-def dual_of_canonical(objective, rows, rhs):
+def dual_of_canonical(objective, rows, rhs, free=()):
     """For max{c x : A x <= b, x >= 0}: the dual min{b y : A^T y >= c, y >= 0},
     stated as max{-b y : -A^T y <= -c, y >= 0} so both sides run through the
-    same API."""
+    same API. A variable listed in ``free`` has no bound x_j >= 0, and its
+    dual row is the equality -(A^T y)_j == -c_j."""
     from allocore.lp import LpProblem
 
     m = len(rows)
     n = len(objective)
     dual = LpProblem(m, [-b for b in rhs], [Fraction(0)] * m)
     for j in range(n):
-        dual.add({i: -rows[i][j] for i in range(m)}, "<=", -objective[j])
+        dual.add({i: -rows[i][j] for i in range(m)}, "==" if j in free else "<=", -objective[j])
     return dual
 
 

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import allocore.lp
 import allocore.relaxations
 from allocore.generators import WEIGHT_MODELS, random_empty_core_game, random_graph
 from allocore.lp import LpProblem, LpStatus, VerifyResult, _Tableau, solve, verify_point
@@ -298,16 +299,16 @@ def test_stored_row_is_the_input_over_its_lcm(coeffs, rhs):
 
 
 @st.composite
-def mixed_programs(draw):
-    """LPs with <= and == rows, negative right-hand sides, free and
-    nonnegative variables, and redundant or contradicting equality rows."""
+def mixed_programs(draw, relations=("<=", "==")):
+    """LPs with rows of the given relations, negative right-hand sides, free
+    and nonnegative variables, and redundant or contradicting equality rows."""
     n = draw(st.integers(1, 4))
     bounds = draw(st.lists(st.none() | st.just(Fraction(0)), min_size=n, max_size=n))
     problem = LpProblem(n, draw(st.lists(coprime_fractions, min_size=n, max_size=n)), bounds)
     for _ in range(draw(st.integers(0, 5))):
         problem.add(
             dict(enumerate(draw(st.lists(coprime_fractions, min_size=n, max_size=n)))),
-            draw(st.sampled_from(["<=", "=="])),
+            draw(st.sampled_from(relations)),
             draw(coprime_fractions),
         )
     equalities = [con for con in problem.constraints if con.relation == "=="]
@@ -532,3 +533,71 @@ def test_optimum_with_a_denominator_above_64_bits():
     assert sol.point == tuple(expected)
     assert sol.point[4].denominator > 2**64
     assert_optimal_vertex(p, sol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_programs(relations=("<=",)))
+def test_duals_certify_every_all_le_optimum(problem):
+    sol = solve(problem)
+    if not sol.is_optimal:
+        assert sol.duals is None
+        return
+    rows = problem.constraints
+    assert len(sol.duals) == len(rows) and min(sol.duals, default=0) >= 0
+    assert sum((y * b for (_, b), y in zip(map(rational_row, rows), sol.duals)), Fraction(0)) == sol.value
+    if len(rows) <= 7:  # small enough for vertex enumeration of the dual
+        # the duals are an optimal vertex of the dual program
+        n, m = problem.num_vars, len(rows)
+        stored = [rational_row(con) for con in rows]
+        dual = dual_of_canonical(
+            problem.objective, [[coef.get(i, 0) for i in range(n)] for coef, _ in stored],
+            [b for _, b in stored], [i for i, lb in enumerate(problem.lower_bounds) if lb is None],
+        )
+        dual_stored = [rational_row(con) for con in dual.constraints]
+        dual_rows = [[coef.get(r, 0) for r in range(m)] for coef, _ in dual_stored]
+        dual_rhs = [b for _, b in dual_stored]
+        rels = [con.relation for con in dual.constraints] + ["<="] * m
+        dual_rows += [[Fraction(-(k == r)) for k in range(m)] for r in range(m)]  # y >= 0
+        dual_rhs += [Fraction(0)] * m
+        best, argmax = polyhedron_max(dual.objective, dual_rows, dual_rhs, rels)
+        assert -best == sol.value
+        assert sol.duals in argmax
+
+
+def test_duals_only_without_equality_rows():
+    p = LpProblem(2, [1, 1], [0, 0])
+    p.add({0: 1, 1: 1}, "<=", 4)
+    assert solve(p).duals == (1,)
+    p.add({0: 1, 1: -1}, "==", 0)
+    sol = solve(p)
+    assert sol.point == (2, 2) and sol.duals is None
+    q = LpProblem(1, [1])
+    q.add({0: -1}, "<=", 0)
+    assert solve(q) == (LpStatus.UNBOUNDED, None, None, None)
+    q.add({0: 1}, "<=", -1)
+    assert solve(q) == (LpStatus.INFEASIBLE, None, None, None)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda ys: {r: -y for r, y in ys.items()}, "negative dual multiplier"),
+        (lambda ys: {r: 2 * y for r, y in ys.items()}, "duals miss the objective"),
+        (lambda ys: dict(list(ys.items())[1:]), "duals miss the objective"),
+        (lambda ys: {**ys, 0: 1}, "dual value"),
+    ],
+    ids=["wrong-sign", "scaled", "row-dropped", "slack-row-weighted"],
+)
+def test_a_wrong_dual_makes_solve_raise(monkeypatch, tamper, message):
+    # max x0 + x1 over x1 <= 3, x0 + x1 <= 2 and x0 - x1 <= 1, whose only dual
+    # optimum is (0, 1, 0); x0 is free, so its column must be met exactly
+    p = LpProblem(2, [1, 1], [None, 0])
+    p.add({1: 1}, "<=", 3)
+    p.add({0: 1, 1: 1}, "<=", 2)
+    p.add({0: 1, 1: -1}, "<=", 1)
+    sol = solve(p)
+    assert (sol.value, sol.duals) == (2, (0, 1, 0))
+    support = allocore.lp._dual_support
+    monkeypatch.setattr(allocore.lp, "_dual_support", lambda *args: tamper(support(*args)))
+    with pytest.raises(AssertionError, match=message):
+        solve(p)

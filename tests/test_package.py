@@ -135,7 +135,11 @@ def _problem():
 RECORDS = [
     (lambda: Coalition(5, 3), ("bits", "n"), {}),
     (lambda: _problem().constraints[0], ("coef", "relation", "rhs", "den"), {}),
-    (lambda: solve(_problem()), ("status", "value", "point"), {"value": None, "point": None}),
+    (
+        lambda: solve(_problem()),
+        ("status", "value", "point", "duals"),
+        {"value": None, "point": None, "duals": None},
+    ),
     (
         lambda: verify_point(_problem(), [9, 0, -1]),
         ("feasible", "violated_constraints", "violated_bounds"),

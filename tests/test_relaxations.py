@@ -42,7 +42,9 @@ from _oracles import (
     first_failing_pair,
     min_stable_profit,
     reference_lift,
+    subsidy_problem,
     submodular,
+    weak_core_problem,
 )
 
 
@@ -199,11 +201,7 @@ class TestExtendedCore:
         assert all(v >= 0 for v in t)
         assert sum(x) == unbalanced3.grand_cost()
         # audit the witness against the raw program
-        problem = dense_coalition_program(
-            unbalanced3, [0] * 3 + [-1] * 3, [None] * 3 + [0] * 3,
-            extra=lambda bits: {3 + i: -1 for i in range(3) if bits >> i & 1}, grand="==",
-        )
-        assert verify_point(problem, list(x) + list(t)).feasible
+        assert verify_point(subsidy_problem(unbalanced3), list(x) + list(t)).feasible
 
     def test_balanced_needs_no_subsidy(self, tight_quarter):
         delta, (x, t) = extended_core_delta(MstGame(tight_quarter))
@@ -546,42 +544,27 @@ class TestLiftQueries:
 
 
 def _programs(game):
-    """Each coalition program as (its dense problem over every proper
-    coalition, a call that solves it by row generation and returns the
-    optimum in the problem's max form and the full point)."""
+    """Each row-generated coalition program as (its dense problem over every
+    proper coalition, a call that solves it by row generation and returns
+    the optimum in the problem's max form and the full point)."""
     n = game.n
-
-    def epsilon(weight, solver):
-        problem = dense_coalition_program(
-            game, [0] * n + [-1], [None] * n + [0],
-            extra=lambda bits: {n: -weight(bits.bit_count())}, grand="==",
-        )
-
-        def run():
-            eps, x = solver(game)
-            return -eps, (*x, eps)
-
-        return problem, run
 
     def core():
         solution = core_optimum(game, [1] * n)
         return solution.value, solution.point
 
-    def subsidy():
-        delta, (x, t) = extended_core_delta(game)
-        return -delta, (*x, *t)
+    def least_core():
+        eps, x = least_core_eps(game)
+        return -eps, (*x, eps)
 
     cases = {
         "core": (dense_coalition_program(game, [1] * n, grand="<="), core),
-        "subsidy": (
+        "least-core": (
             dense_coalition_program(
-                game, [0] * n + [-1] * n, [None] * n + [0] * n,
-                extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand="==",
+                game, [0] * n + [-1], [None] * n + [0], extra=lambda bits: {n: -1}, grand="=="
             ),
-            subsidy,
+            least_core,
         ),
-        "least-core": epsilon(lambda size: 1, least_core_eps),
-        "weak-core": epsilon(lambda size: size, weak_core_eps),
     }
     for nonneg in (False, True):
         cases[f"almost-core nonneg={nonneg}"] = (
@@ -590,8 +573,24 @@ def _programs(game):
     return cases
 
 
+def _derived_programs(game):
+    """The weak epsilon and subsidy programs, whose optima are derived from
+    the core solve, as (the dense problem, a call that returns the derived
+    optimum in the problem's max form and the full point)."""
+
+    def weak():
+        eps, x = weak_core_eps(game)
+        return -eps, (*x, eps)
+
+    def subsidy():
+        delta, (x, t) = extended_core_delta(game)
+        return -delta, (*x, *t)
+
+    return {"weak-core": (weak_core_problem(game), weak), "subsidy": (subsidy_problem(game), subsidy)}
+
+
 def _assert_matches_dense(game):
-    for name, (problem, run) in _programs(game).items():
+    for name, (problem, run) in {**_programs(game), **_derived_programs(game)}.items():
         value, point = run()
         dense = solve(problem)
         assert dense.is_optimal, name
@@ -685,3 +684,99 @@ class TestRowGeneration:
         # every pair costs 1: the singleton optimum violates all three pair rows
         assert almost_core_optimum(ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2]))[0] == Fraction(3, 2)
         assert solves == [3, 6]
+
+
+class TestDerivedFromCoreSolve:
+    """The weak epsilon and the minimum subsidy come from m = max x(N) of the
+    certified core solve; the dense programs are their oracles."""
+
+    @staticmethod
+    def _sweep_games():
+        rng = Random(96)
+        for n in range(2, 8):
+            for _ in range(30):
+                yield random_explicit_game(rng, n)
+                yield random_empty_core_game(rng, n)
+        for n in range(3, 8):
+            for model in WEIGHT_MODELS:
+                for _ in range(2):
+                    graph = random_graph(rng, n, model)
+                    yield MstGame(graph)
+                    yield MstGame(graph, monotonized=True)
+
+    def test_dense_programs_agree_on_a_sweep(self):
+        games = empty = 0
+        for game in self._sweep_games():
+            r = full_report(game)
+            eps, x = r.eps_weak, r.eps_weak_allocation
+            delta, xs, t = r.extended_core_delta, r.extended_core_x, r.extended_core_t
+            assert (eps, x) == weak_core_eps(game)
+            assert (delta, (xs, t)) == extended_core_delta(game)
+            assert solve(weak_core_problem(game)).value == -eps
+            assert solve(subsidy_problem(game)).value == -delta
+            # both witnesses checked coalition by coalition, without the LP code
+            c_grand = game.grand_cost()
+            assert eps >= 0 and sum(x) == c_grand
+            assert almost_core_member(game, [v - eps for v in x])
+            assert min(t) >= 0 and sum(t) == delta and sum(xs) == c_grand
+            assert almost_core_member(game, [a - b for a, b in zip(xs, t)])
+            games += 1
+            empty += not r.core_nonempty
+        assert games >= 400 and empty >= 180
+
+    def test_no_agents(self):
+        game = ExplicitGame(0, [0])
+        assert weak_core_eps(game) == (0, ())
+        assert extended_core_delta(game) == (0, ((), ()))
+        assert type(weak_core_eps(game)[0]) is type(extended_core_delta(game)[0]) is Fraction
+
+    def test_one_agent(self):
+        game = ExplicitGame(1, [0, 3])
+        assert weak_core_eps(game) == (0, (3,))
+        assert extended_core_delta(game) == (0, ((3,), (0,)))
+        assert solve(weak_core_problem(game)).value == 0 == solve(subsidy_problem(game)).value
+
+    def test_core_duals_are_a_balanced_cover(self, monkeypatch):
+        # Bondareva-Shapley: the duals weight coalitions so that every agent
+        # is covered exactly once and the weighted cost is m
+        problems = []
+
+        def capturing(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(allocore.relaxations, "solve", capturing)
+        rng = Random(97)
+        games = [random_empty_core_game(rng, n) for n in range(2, 7)]
+        games += [MstGame(random_graph(rng, 6, model)) for model in WEIGHT_MODELS]
+        for game in games:
+            n = game.n
+            problems.clear()
+            solution = core_optimum(game, [1] * n)
+            rows = problems[-1].constraints
+            assert len(solution.duals) == len(rows) and min(solution.duals) >= 0
+            cover = [Fraction(0)] * n
+            weighted = Fraction(0)
+            for con, y in zip(rows, solution.duals):
+                bits = sum(1 << i for i in con.coef)
+                for i in con.coef:
+                    cover[i] += y
+                weighted += y * game.cost_bits(bits)
+            assert cover == [1] * n
+            assert weighted == solution.value
+
+    def test_a_report_runs_four_programs(self, monkeypatch):
+        game = random_empty_core_game(Random(98), 5)  # sampling runs core solves
+        programs = []
+        solve_coalitions = allocore.relaxations._solve_coalitions
+
+        def recording(game, objective, bounds=None, **kwargs):
+            programs.append(kwargs["what"])
+            return solve_coalitions(game, objective, bounds, **kwargs)
+
+        monkeypatch.setattr(allocore.relaxations, "_solve_coalitions", recording)
+        full_report(game)
+        assert sorted(programs) == [
+            "the almost-core program", "the almost-core program", "the core program",
+            "the least-core program",
+        ]
