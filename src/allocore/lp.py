@@ -1,8 +1,9 @@
 """Exact linear programming on sparse integer rows.
 
 A two-phase primal simplex with Bland's anti-cycling rule. Problems are
-stated as maximization over <= and == rows, each variable either free
-(lower bound None) or nonnegative (lower bound 0). A free variable is the
+stated as max c . x subject to A x <= b, each variable either free (lower
+bound None) or nonnegative (lower bound 0); a row a . x >= b is added as
+-a . x <= -b, and an equality as two such rows. A free variable is the
 difference of a positive and a negative part, both nonnegative, so every
 returned optimum is a vertex of the feasible region augmented by the
 x >= 0 bounds. The negative part has a virtual column, the index after the
@@ -13,10 +14,11 @@ trace and column order are in virtual indices, those of the split tableau.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
-once (a row of int coefficients only by its rhs's denominator): a stored ``Constraint`` keeps the nonzero entries, in ascending
-variable order, in a read-only mapping of numerators over ``den``, the lcm
-of the row's denominators, so ``solve`` and ``verify_point`` visit nothing
-else and nothing can change a row after ``add`` checked it. The objective
+once; a row of int coefficients needs only its rhs's denominator. A stored
+``Constraint`` keeps the nonzero entries, in ascending variable order, in a
+read-only mapping of numerators over ``den``, the lcm of the row's
+denominators, so ``solve`` and ``verify_point`` visit nothing else and
+nothing can change a row after ``add`` checked it. The objective
 and the lower bounds are dense tuples, one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
@@ -42,15 +44,16 @@ against the point over its common denominator. No floating point is used
 anywhere. Column and row order are fixed and there is no presolve, so
 identical problems give identical solutions.
 
-When every row is <=, the optimum also carries its dual certificate: one
-multiplier y_r per stored row, minus the reduced cost of row r's slack
-column in the final cost row (negating a row with a negative rhs negates
-its slack column and its tableau multiplier alike, so the sign holds).
-Only rows whose slack has a nonzero reduced cost are visited, and no
-Fraction is built for a zero multiplier. ``solve`` checks the certificate
-on integers next to verify_point: y >= 0, (A^T y)_j = c_j on free
-columns and >= c_j on x >= 0 columns, and b . y equals the value, which
-proves the point optimal. Programs with an == row get no duals.
+Row r has a slack column, the r-th after the structural ones. The slack
+columns have full row rank, so phase 1 never drops a row, and every
+optimum carries its dual certificate: y_r is minus the reduced cost of row
+r's slack column in the final cost row (negating a row with a negative
+rhs negates its slack column and its tableau multiplier alike, so the sign
+holds). Only rows whose slack has a nonzero reduced cost are visited, and
+no Fraction is built for a zero multiplier. ``solve`` checks the
+certificate on integers next to verify_point: y >= 0, (A^T y)_j = c_j on
+free columns and >= c_j on x >= 0 columns, and b . y equals the value,
+which proves the point optimal.
 """
 
 from __future__ import annotations
@@ -67,17 +70,11 @@ from .games import as_rational, over_common_denominator
 
 _ZERO = Fraction(0)
 
-LE = "<="
-EQ = "=="
-_RELATIONS = (LE, EQ)
-_HOLDS = {LE: operator.le, EQ: operator.eq}
-
 
 class Constraint(NamedTuple):
-    """The row sum(coef[i] * x_i) (relation) rhs, every number over den > 0."""
+    """The row sum(coef[i] * x_i) <= rhs, every number over den > 0."""
 
     coef: Mapping[int, int]  # read-only; nonzeros only, ascending variable index
-    relation: str
     rhs: int
     den: int
 
@@ -92,7 +89,7 @@ class LpSolution(NamedTuple):
     status: LpStatus
     value: Fraction | None = None
     point: tuple[Fraction, ...] | None = None
-    duals: tuple[Fraction, ...] | None = None  # one per stored row; all-<= optima only
+    duals: tuple[Fraction, ...] | None = None  # one per stored row; every optimum
 
     @property
     def is_optimal(self) -> bool:
@@ -100,7 +97,7 @@ class LpSolution(NamedTuple):
 
 
 class LpProblem:
-    """max objective . x subject to rows, each variable free or x_i >= 0.
+    """max objective . x subject to <= rows, each variable free or x_i >= 0.
 
     num_vars, the objective and the lower bounds are fixed and checked at
     construction; ``add`` is the only change, and it appends a row."""
@@ -140,9 +137,8 @@ class LpProblem:
         self._col_var, self._first_col = col_var, first_col
         self._free = frozenset(first_col[i] for i, lb in enumerate(bounds) if lb is None)
         # solve's tableau rows, one (coef, rhs, den, basic column or -1) per
-        # constraint, their slack columns ending before _width
+        # constraint; row r's slack is column len(col_var) + r
         self._rows: list[tuple[dict[int, int], int, int, int]] = []
-        self._width = len(col_var)
 
     @property
     def num_vars(self) -> int:
@@ -160,15 +156,13 @@ class LpProblem:
     def constraints(self) -> tuple[Constraint, ...]:
         return tuple(self._constraints)
 
-    def add(self, coeffs: Mapping[int, object], relation: str, rhs: object) -> None:
-        """Add the row sum(coeffs[i] * x_i) (relation) rhs.
+    def add(self, coeffs: Mapping[int, object], rhs: object) -> None:
+        """Add the row sum(coeffs[i] * x_i) <= rhs.
 
         ``coeffs`` maps variable indices in 0..num_vars-1 to coefficients;
         absent variables read 0 and zero coefficients are dropped. A row
         that fails a check leaves the problem as it was.
         """
-        if relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}")
         row = {}
         last, ascending, ints = -1, True, True  # builders emit ascending keys; sort only other rows
         for i, v in coeffs.items():
@@ -190,18 +184,16 @@ class LpProblem:
         else:
             nums, den = over_common_denominator([*row.values(), b])
             coef, num = dict(zip(row, nums)), nums[-1]
-        self._constraints.append(Constraint(MappingProxyType(coef), relation, num, den))
-        # The tableau row: a <= row gets a slack column, +1 over den, and a
-        # row with a negative rhs is negated. Its basic column is then the
-        # slack when it still reads +1, otherwise an artificial one, which
-        # solve adds after all real columns.
+        self._constraints.append(Constraint(MappingProxyType(coef), num, den))
+        # The tableau row: the row's slack column, +1 over den, and a row
+        # with a negative rhs is negated. Its basic column is then the slack
+        # when it still reads +1, otherwise an artificial one, which solve
+        # adds after all real columns.
         first_col = self._first_col
         tcoef = {first_col[i]: c for i, c in coef.items()}
-        basic = -1
-        if relation == LE:
-            tcoef[self._width] = den
-            basic = self._width if num >= 0 else -1
-            self._width += 1
+        slack = len(self._col_var) + len(self._rows)
+        tcoef[slack] = den
+        basic = slack if num >= 0 else -1
         if num < 0:
             tcoef = {j: -v for j, v in tcoef.items()}
         self._rows.append((tcoef, abs(num), den, basic))
@@ -218,7 +210,7 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
 
     The check runs on integers: the point is scaled once to its common
     denominator P, and each stored row, whose integers are over its own
-    den, is compared as sum(coef[i] * P * x_i) (relation) rhs * P.
+    den, is compared as sum(coef[i] * P * x_i) <= rhs * P.
     """
     x = [as_rational(v) for v in point]
     if len(x) != problem.num_vars:
@@ -228,7 +220,7 @@ def verify_point(problem: LpProblem, point: Sequence[object]) -> VerifyResult:
     for idx, con in enumerate(problem.constraints):
         coef = con.coef
         lhs = sum(map(operator.mul, coef.values(), map(xs.__getitem__, coef)))
-        if not _HOLDS[con.relation](lhs, con.rhs * p):
+        if lhs > con.rhs * p:
             bad_rows.append(idx)
     bad_bounds = [
         i
@@ -365,7 +357,8 @@ def solve(problem: LpProblem) -> LpSolution:
     """
     # Copies of the rows add built, with an artificial column for each row
     # that has no basic slack.
-    width, built = problem._width, problem._rows
+    built = problem._rows
+    width = len(problem._col_var) + len(built)
     rows = [_Row(coef.copy(), rhs, den) for coef, rhs, den, _ in built]
     basis = [basic for *_, basic in built]
     art_rows = [r for r, basic in enumerate(basis) if basic < 0]
@@ -384,18 +377,13 @@ def solve(problem: LpProblem) -> LpSolution:
         # when every artificial still in the basis sits at 0.
         if any(row.rhs for row, bcol in zip(rows, basis) if bcol >= width):
             return LpSolution(LpStatus.INFEASIBLE)
-        # Drive remaining artificials out of the basis; drop redundant rows.
-        # A stored column precedes its virtual negative part, so the smallest
-        # stored real column is the smallest nonzero virtual one.
-        r = 0
-        while r < len(rows):
-            if basis[r] >= width:
-                pivot_col = min((j for j in rows[r].coef if j < width), default=None)
-                if pivot_col is None:
-                    del rows[r], basis[r]
-                    continue
-                tab.pivot(r, pivot_col)
-            r += 1
+        # Drive remaining artificials out of the basis, each on its row's
+        # smallest real column; the slack columns give every row one. A stored
+        # column precedes its virtual negative part, so the smallest stored
+        # real column is the smallest nonzero virtual one.
+        for r, bcol in enumerate(basis):
+            if bcol >= width:
+                tab.pivot(r, min(j for j in rows[r].coef if j < width))
         for row in rows:
             row.coef = {j: v for j, v in row.coef.items() if j < width}
 
@@ -424,10 +412,8 @@ def solve(problem: LpProblem) -> LpSolution:
             f"simplex returned an infeasible point: rows {check.violated_constraints}, "
             f"bounds {check.violated_bounds}"
         )
-    duals = None
-    if width - len(col_var) == len(built):  # every row is <=, so each has a slack
-        support = _dual_support(tab.cost, len(col_var))
-        duals = _check_duals(problem, support, tab.cost.den, obj, d, value)
+    support = _dual_support(tab.cost, len(col_var))
+    duals = _check_duals(problem, support, tab.cost.den, obj, d, value)
     return LpSolution(LpStatus.OPTIMAL, value, point, duals)
 
 
@@ -441,10 +427,10 @@ def _check_duals(
     problem: LpProblem, support: dict[int, int], den: int, obj: list[int], d: int,
     value: Fraction,
 ) -> tuple[Fraction, ...]:
-    """The duals of an all-<= problem, y_r = support[r] / den and 0 off the
-    support, once they certify ``value`` as the optimum of the objective
-    obj / d; AssertionError if they do not. The check runs on integers over
-    L, the lcm of the support rows' denominators: y_r * A_r is
+    """The duals y_r = support[r] / den, 0 off the support, once they
+    certify ``value`` as the optimum of the objective obj / d;
+    AssertionError if they do not. The check runs on integers over L, the
+    lcm of the support rows' denominators: y_r * A_r is
     support[r] * (L / den_r) * coef over den * L."""
     negative = sorted(r for r, y in support.items() if y < 0)
     if negative:

@@ -24,6 +24,12 @@ point feasible for every coalition, and its dual certificate (a balanced
 cover of N, checked by ``solve``) shows no point of the working set does
 better. ``full_report`` checks the remaining identities before returning.
 
+The least core's grand row is x(N) >= c(N), so every program has <= rows
+only and a checked dual certificate. Lowering a share keeps every proper
+row, so min eps is unchanged, and lowering agent 1 by x(N) - c(N) makes
+the witness budget balanced (if eps* > 0, complementary slackness already
+makes the grand row tight at every optimum).
+
 Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
 (``_solve_coalitions``, the one builder of coalition rows). The working
@@ -79,11 +85,11 @@ def _require_multi_agent(game: Game, what: str) -> None:
 
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, slack: int | None = None, grand: str | None = None,
+    what: str, slack: int | None = None, grand: int | None = None,
 ) -> LpSolution:
     """The optimum of max objective . (x, y) subject to x(S) - y[slack] <= c(S)
-    for every proper coalition S, plus x(N) (grand) c(N) when ``grand``
-    names a relation; x are the first n variables and y the rest.
+    for every proper coalition S, plus grand * (x(N) - c(N)) <= 0 when
+    ``grand`` is 1 or -1; x are the first n variables and y the rest.
     ``slack`` names the y variable taken off each proper row.
 
     Solved by row generation (see the module docstring). Every program here
@@ -98,18 +104,17 @@ def _solve_coalitions(
     # the table first: an MstGame then reads the seed rows' costs from it
     table, d = game.scaled_table()
 
-    def add(bits: int, rel: str) -> None:
-        members = bits_members(bits)
-        row = dict.fromkeys((i - 1 for i in members), 1)
-        if bits != full and slack is not None:
+    def add(bits: int) -> None:
+        row = dict.fromkeys((i - 1 for i in bits_members(bits)), 1)
+        if slack is not None:
             row[slack] = -1
-        problem.add(row, rel, game.cost_bits(bits))
+        problem.add(row, game.cost_bits(bits))
 
     working = {1 << i for i in range(n)} - {full}
     for bits in sorted(working):
-        add(bits, "<=")
+        add(bits)
     if grand is not None:
-        add(full, grand)
+        problem.add(dict.fromkeys(range(n), grand), grand * game.cost_bits(full))
     while True:
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
@@ -126,7 +131,7 @@ def _solve_coalitions(
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
         for bits in violated:
-            add(bits, "<=")
+            add(bits)
 
 
 def almost_core_optimum(
@@ -155,7 +160,7 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
         raise ValueError("objective length does not match the game")
     if any(as_rational(v) < 0 for v in objective):
         return LpSolution(LpStatus.UNBOUNDED)
-    return _solve_coalitions(game, objective, what="the core program", grand="<=")
+    return _solve_coalitions(game, objective, what="the core program", grand=1)
 
 
 class _Shareable(NamedTuple):
@@ -177,7 +182,6 @@ def _max_shareable(game: Game) -> _Shareable:
     n = game.n
     solution = core_optimum(game, [_ONE] * n)
     m, x = solution.value, solution.point
-    _ensure(solution.duals is not None, "the core optimum came back without its dual certificate")
     c_grand = game.grand_cost()
     if m == c_grand:
         mult = _ZERO, x
@@ -208,13 +212,16 @@ def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
 
 def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest uniform additive relaxation (the least-core value) and a witness:
-    min eps >= 0 with x(S) - eps <= c(S) for proper S and x(N) = c(N)."""
+    min eps >= 0 with x(S) - eps <= c(S) for proper S and x(N) = c(N),
+    solved with x(N) >= c(N) and agent 1 lowered to x(N) = c(N)."""
     n = game.n
     solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="the least-core program",
-        slack=n, grand="==",
+        slack=n, grand=-1,
     )
-    return -solution.value, solution.point[:n]
+    x = solution.point[:n]
+    over = sum(x, _ZERO) - game.grand_cost()
+    return -solution.value, tuple(v - over if i == 0 else v for i, v in enumerate(x))
 
 
 def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:

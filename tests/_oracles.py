@@ -30,21 +30,19 @@ def gauss_solve(rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
-def satisfies(rows, rhs, rels, x) -> bool:
+def satisfies(rows, rhs, x) -> bool:
     sums = (sum(a * xx for a, xx in zip(row, x)) for row in rows)
-    return all(v <= b if rel == "<=" else v == b for v, b, rel in zip(sums, rhs, rels))
+    return all(v <= b for v, b in zip(sums, rhs))
 
 
-def enumerate_vertices(rows, rhs, rels=None):
-    """All feasible basic points of {x : rows x (rel) rhs}. Exponential."""
+def enumerate_vertices(rows, rhs):
+    """All feasible basic points of {x : rows x <= rhs}. Exponential."""
     n = len(rows[0])
-    if rels is None:
-        rels = ["<="] * len(rows)
     seen = set()
     points = []
     for combo in combinations(range(len(rows)), n):
         x = gauss_solve([rows[i] for i in combo], [rhs[i] for i in combo])
-        if x is None or not satisfies(rows, rhs, rels, x):
+        if x is None or not satisfies(rows, rhs, x):
             continue
         key = tuple(x)
         if key not in seen:
@@ -53,9 +51,9 @@ def enumerate_vertices(rows, rhs, rels=None):
     return points
 
 
-def polyhedron_max(objective, rows, rhs, rels=None):
+def polyhedron_max(objective, rows, rhs):
     """(max value, list of maximizing vertices); None if no feasible vertex."""
-    vertices = enumerate_vertices(rows, rhs, rels)
+    vertices = enumerate_vertices(rows, rhs)
     if not vertices:
         return None
     best = None
@@ -107,7 +105,8 @@ def almost_core_rows(game):
 def dense_coalition_program(game, objective, bounds=None, sign=1, extra=None, grand=None):
     """max objective . (x, y) subject to sign x(S) + extra(S) . y <= sign c(S)
     for every proper coalition S in ascending bitmask order, then the row
-    x(N) (grand) c(N) when ``grand`` names a relation.
+    grand x(N) <= grand c(N) when ``grand`` is 1 (x(N) <= c(N)) or -1
+    (x(N) >= c(N)).
 
     x are the first n variables and y the rest; ``extra`` maps a bitmask to
     its row's {y variable: coefficient}. With sign = -1 a row states
@@ -122,9 +121,9 @@ def dense_coalition_program(game, objective, bounds=None, sign=1, extra=None, gr
         row = {i: sign for i in range(n) if bits >> i & 1}
         if extra is not None:
             row.update(extra(bits))
-        problem.add(row, "<=", sign * game.cost_bits(bits))
+        problem.add(row, sign * game.cost_bits(bits))
     if grand is not None:
-        problem.add(dict.fromkeys(range(n), 1), grand, game.cost_bits((1 << n) - 1))
+        problem.add(dict.fromkeys(range(n), grand), grand * game.cost_bits((1 << n) - 1))
     return problem
 
 
@@ -136,23 +135,25 @@ def almost_core_problem(game, require_nonneg=False):
 
 def weak_core_problem(game):
     """max -eps over (x, eps), eps >= 0 the variable n, subject to
-    x(S) - |S| eps <= c(S) for every proper S and x(N) = c(N): the weak
-    epsilon core program, solved densely."""
+    x(S) - |S| eps <= c(S) for every proper S and x(N) >= c(N): the weak
+    epsilon core program, solved densely. Lowering shares keeps every
+    proper row, so x(N) >= c(N) has the optimum of x(N) = c(N)."""
     n = game.n
     return dense_coalition_program(
         game, [0] * n + [-1], [None] * n + [0],
-        extra=lambda bits: {n: -bits.bit_count()}, grand="==",
+        extra=lambda bits: {n: -bits.bit_count()}, grand=-1,
     )
 
 
 def subsidy_problem(game):
     """max -t(N) over (x, t), t >= 0 the variables n..2n-1, subject to
-    (x - t)(S) <= c(S) for every proper S and x(N) = c(N): the extended
-    core's minimum-subsidy program, solved densely."""
+    (x - t)(S) <= c(S) for every proper S and x(N) >= c(N): the extended
+    core's minimum-subsidy program, solved densely (x(N) >= c(N) as in
+    ``weak_core_problem``)."""
     n = game.n
     return dense_coalition_program(
         game, [0] * n + [-1] * n, [None] * n + [0] * n,
-        extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand="==",
+        extra=lambda bits: {n + i: -1 for i in range(n) if bits >> i & 1}, grand=-1,
     )
 
 
@@ -238,14 +239,17 @@ def dual_of_canonical(objective, rows, rhs, free=()):
     """For max{c x : A x <= b, x >= 0}: the dual min{b y : A^T y >= c, y >= 0},
     stated as max{-b y : -A^T y <= -c, y >= 0} so both sides run through the
     same API. A variable listed in ``free`` has no bound x_j >= 0, and its
-    dual row is the equality -(A^T y)_j == -c_j."""
+    dual row is the equality (A^T y)_j = c_j, stated as the <= row followed
+    by its opposite (A^T y)_j <= c_j."""
     from allocore.lp import LpProblem
 
     m = len(rows)
     n = len(objective)
     dual = LpProblem(m, [-b for b in rhs], [Fraction(0)] * m)
     for j in range(n):
-        dual.add({i: -rows[i][j] for i in range(m)}, "==" if j in free else "<=", -objective[j])
+        dual.add({i: -rows[i][j] for i in range(m)}, -objective[j])
+        if j in free:
+            dual.add({i: rows[i][j] for i in range(m)}, objective[j])
     return dual
 
 
@@ -256,8 +260,8 @@ def reference_simplex(problem):
     is specified to make: the entering column is the smallest index with a
     positive reduced cost, the leaving row has the smallest ratio with ties
     to the smaller basis index, and after phase 1 each artificial left in the
-    basis is pivoted out on its row's smallest nonzero real column (the row is
-    deleted when it has none). Returns ``(status, value, point, trace)``:
+    basis is pivoted out on its row's smallest nonzero real column (every row
+    has one: its slack column). Returns ``(status, value, point, trace)``:
     status is "optimal", "infeasible" or "unbounded", value and point are
     None unless optimal, and trace lists every pivot as (row, column).
     """
@@ -268,27 +272,23 @@ def reference_simplex(problem):
         if lb is None:
             col_var.append((i, -1))
     nstruct = len(col_var)
-    width = nstruct + sum(1 for con in problem.constraints if con.relation == "<=")
+    width = nstruct + len(problem.constraints)
 
-    rows, rhs, slack_of = [], [], []
-    for con in problem.constraints:
+    rows, rhs = [], []
+    for r, con in enumerate(problem.constraints):
         coeffs, b = rational_row(con)
         row = [coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
-        scol = None
-        if con.relation == "<=":
-            scol = nstruct + sum(1 for s in slack_of if s is not None)
-            row[scol] = Fraction(1)
+        row[nstruct + r] = Fraction(1)  # the slack
         if b < 0:
             row, b = [-v for v in row], -b
         rows.append(row)
         rhs.append(b)
-        slack_of.append(scol)
 
     basis = []
     art_rows = []
-    for r, scol in enumerate(slack_of):
-        if scol is not None and rows[r][scol] == 1:
-            basis.append(scol)
+    for r, row in enumerate(rows):
+        if row[nstruct + r] == 1:
+            basis.append(nstruct + r)
         else:
             basis.append(width + len(art_rows))
             art_rows.append(r)
@@ -334,15 +334,9 @@ def reference_simplex(problem):
             raise AssertionError("phase 1 cannot be unbounded")
         if any(rhs[r] for r in range(len(rows)) if basis[r] >= width):
             return "infeasible", None, None, trace
-        r = 0
-        while r < len(rows):
+        for r in range(len(rows)):
             if basis[r] >= width:
-                col = next((j for j in range(width) if rows[r][j]), None)
-                if col is None:
-                    del rows[r], rhs[r], basis[r]
-                    continue
-                pivot(r, col, cost)
-            r += 1
+                pivot(r, next(j for j in range(width) if rows[r][j]), cost)
         rows[:] = [row[:width] for row in rows]
 
     obj = [problem.objective[i] * sign for i, sign in col_var] + [zero] * (width - nstruct)
@@ -371,7 +365,7 @@ def reference_verify_point(problem, point):
     for idx, con in enumerate(problem.constraints):
         coeffs, b = rational_row(con)
         lhs = sum((c * x[i] for i, c in coeffs.items()), Fraction(0))
-        if not (lhs <= b if con.relation == "<=" else lhs == b):
+        if lhs > b:
             rows.append(idx)
     bounds = [
         i for i, (v, lb) in enumerate(zip(x, problem.lower_bounds))

@@ -22,6 +22,12 @@ from _oracles import (
 )
 
 
+def add_equality(problem, coeffs, rhs):
+    """coeffs . x == rhs as a <= row and its opposite."""
+    problem.add(coeffs, rhs)
+    problem.add({i: -Fraction(v) for i, v in coeffs.items()}, -Fraction(rhs))
+
+
 def traced_solve(problem):
     """``solve(problem)`` and the (row, column) of every pivot it made."""
     trace = []
@@ -38,9 +44,9 @@ def traced_solve(problem):
 
 def test_pair_constraint_binds():
     p = LpProblem(2, [1, 1], [0, 0])
-    p.add({0: 1}, "<=", 1)
-    p.add({1: 1}, "<=", 1)
-    p.add({0: 1, 1: 1}, "<=", 1)
+    p.add({0: 1}, 1)
+    p.add({1: 1}, 1)
+    p.add({0: 1, 1: 1}, 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == 1
@@ -52,22 +58,22 @@ def test_unbounded_without_constraints():
 
 def test_infeasible_pair():
     p = LpProblem(1, [1])
-    p.add({0: 1}, "<=", 0)
-    p.add({0: -1}, "<=", -1)  # x0 >= 1
+    p.add({0: 1}, 0)
+    p.add({0: -1}, -1)  # x0 >= 1
     assert solve(p).status is LpStatus.INFEASIBLE
 
 
 def test_infeasible_equalities():
     p = LpProblem(1, [0])
-    p.add({0: 1}, "==", 2)
-    p.add({0: 1}, "==", 3)
+    add_equality(p, {0: 1}, 2)
+    add_equality(p, {0: 1}, 3)
     assert solve(p).status is LpStatus.INFEASIBLE
 
 
 def test_equality_with_free_variables():
     p = LpProblem(2, [-1, -1])  # minimize x1 + x2
-    p.add({0: 1, 1: 1}, "==", -3)
-    p.add({0: 1, 1: -1}, "<=", 1)
+    add_equality(p, {0: 1, 1: 1}, -3)
+    p.add({0: 1, 1: -1}, 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == 3
@@ -80,8 +86,8 @@ def test_nonzero_lower_bounds_rejected():
             LpProblem(2, [-1, -1], [0, bound])
     p = LpProblem(2, [-1, 0], ["0", None])  # minimize x0 >= 0; x1 is free
     assert p.lower_bounds == (0, None)
-    p.add({0: -1, 1: -1}, "<=", -3)  # x0 + x1 >= 3
-    p.add({1: 1}, "<=", 2)
+    p.add({0: -1, 1: -1}, -3)  # x0 + x1 >= 3
+    p.add({1: 1}, 2)
     assert solve(p).point == (1, 2)
 
 
@@ -91,8 +97,8 @@ def test_lower_bounds_cannot_be_assigned_past_the_check():
         with pytest.raises(TypeError):
             p.lower_bounds[0] = bound
     assert p.lower_bounds == (0, None)
-    p.add({0: -1, 1: -1}, "<=", -3)
-    p.add({1: 1}, "<=", 2)
+    p.add({0: -1, 1: -1}, -3)
+    p.add({1: 1}, 2)
     assert solve(p).point == (1, 2)
 
 
@@ -101,8 +107,8 @@ def test_problem_is_fixed_at_construction():
     for name in ("num_vars", "objective", "lower_bounds", "constraints"):
         with pytest.raises(AttributeError):
             setattr(p, name, getattr(p, name))
-    p.add({0: -1}, "<=", -1)  # x0 >= 1; phase 2 enters this row's slack
-    p.add({0: 1}, "<=", 5)
+    p.add({0: -1}, -1)  # x0 >= 1; phase 2 enters this row's slack
+    p.add({0: 1}, 5)
     assert type(p.constraints) is tuple
     with pytest.raises(AttributeError):
         p.constraints.pop()
@@ -112,25 +118,25 @@ def test_problem_is_fixed_at_construction():
         p.constraints[0] = p.constraints[1]
     # rows refused after their first entries were read leave no tableau row
     with pytest.raises(ValueError, match="variable index"):
-        p.add({0: 1, 1: 1, 2: 1}, "<=", 0)
+        p.add({0: 1, 1: 1, 2: 1}, 0)
     with pytest.raises(TypeError, match="exact rational"):
-        p.add({0: 1}, "<=", 1.5)
-    p.add({1: 1}, "<=", 0)
+        p.add({0: 1}, 1.5)
+    p.add({1: 1}, 0)
     assert len(p.constraints) == 3 and assert_solves_as_fresh(p).value == 5
     assert traced_solve(p)[1][-1] == (1, 3)  # the slack follows x0 and x1's two parts
     q = LpProblem(1, [1], [0])
     with pytest.raises(AttributeError):
         q.num_vars = 2  # the rows were checked against 1 variable
-    q.add({0: 1}, "<=", 1)
+    q.add({0: 1}, 1)
     assert solve(q).point == (1,)
 
 
 def test_degenerate_cycling_guard():
     # classic Beale-style degeneracy; Bland's rule must terminate
     p = LpProblem(4, ["3/4", -150, "1/50", -6], [0, 0, 0, 0])
-    p.add({0: "1/4", 1: -60, 2: "-1/25", 3: 9}, "<=", 0)
-    p.add({0: "1/2", 1: -90, 2: "-1/50", 3: 3}, "<=", 0)
-    p.add({2: 1}, "<=", 1)
+    p.add({0: "1/4", 1: -60, 2: "-1/25", 3: 9}, 0)
+    p.add({0: "1/2", 1: -90, 2: "-1/50", 3: 3}, 0)
+    p.add({2: 1}, 1)
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == Fraction(1, 20)
@@ -147,16 +153,15 @@ def test_malformed_dimensions():
     p = LpProblem(2, [1, 1])
     for index in (2, -1, Fraction(1, 2), True):  # num_vars, negative, no int, a bool
         with pytest.raises(ValueError, match="variable index"):
-            p.add({index: 1}, "<=", 0)
-    for relation in ("<", ">="):
-        with pytest.raises(ValueError, match="relation must be one of"):
-            p.add({0: 1, 1: 2}, relation, 0)
+            p.add({index: 1}, 0)
+    with pytest.raises(TypeError):  # every row is <=; add takes no relation
+        p.add({0: 1, 1: 2}, "<=", 0)
     with pytest.raises(TypeError, match="got bool"):
-        p.add({0: True}, "<=", 0)
+        p.add({0: True}, 0)
     assert p.constraints == ()
     assert assert_solves_as_fresh(p).status is LpStatus.UNBOUNDED  # no tableau row was kept
-    p.add({1: 3, 0: 0}, "<=", 1)
-    p.add({1: "2/3", 0: -1}, "<=", 0)
+    p.add({1: 3, 0: 0}, 1)
+    p.add({1: "2/3", 0: -1}, 0)
     first, second = p.constraints
     assert (first.coef, first.rhs, first.den) == ({1: 3}, 1, 1)  # the zero is not stored
     # -x0 + 2/3 x1 <= 0 is stored over its denominator 3
@@ -191,7 +196,7 @@ class TestVerifyPoint:
 
     def test_bound_violations_reported(self):
         p = LpProblem(2, [1, 1], [0, 0])
-        p.add({0: 1, 1: 1}, "<=", 5)
+        p.add({0: 1, 1: 1}, 5)
         res = verify_point(p, [-1, 2])
         assert not res.feasible
         assert res.violated_bounds == (0,)
@@ -211,7 +216,7 @@ def test_strong_duality_on_random_canonical_programs():
         rhs += [Fraction(6)] * n
         primal = LpProblem(n, objective, [Fraction(0)] * n)
         for row, b in zip(rows, rhs):
-            primal.add(dict(enumerate(row)), "<=", b)
+            primal.add(dict(enumerate(row)), b)
         psol = solve(primal)
         assert psol.status is LpStatus.OPTIMAL
         dsol = solve(dual_of_canonical(objective, rows, rhs))
@@ -234,7 +239,7 @@ def test_optimum_matches_vertex_enumeration():
             rhs += [Fraction(4), Fraction(0)]
         problem = LpProblem(n, objective)
         for row, b in zip(rows, rhs):
-            problem.add(dict(enumerate(row)), "<=", b)
+            problem.add(dict(enumerate(row)), b)
         sol = solve(problem)
         assert sol.status is LpStatus.OPTIMAL
         expected, _ = polyhedron_max(objective, rows, rhs)
@@ -253,13 +258,10 @@ def test_optimal_points_pass_verify(data):
         [Fraction(0)] * n,
     )
     for _ in range(m):
-        problem.add(
-            dict(enumerate(data.draw(st.lists(frac, min_size=n, max_size=n)))),
-            data.draw(st.sampled_from(["<=", "=="])),
-            data.draw(frac),
-        )
+        add = add_equality if data.draw(st.booleans()) else LpProblem.add
+        add(problem, dict(enumerate(data.draw(st.lists(frac, min_size=n, max_size=n)))), data.draw(frac))
     for i in range(n):
-        problem.add({i: Fraction(1)}, "<=", Fraction(7))
+        problem.add({i: Fraction(1)}, Fraction(7))
     sol = solve(problem)
     if sol.status is LpStatus.OPTIMAL:
         check = verify_point(problem, sol.point)
@@ -286,7 +288,7 @@ exact_inputs = coprime_fractions.flatmap(
 @given(st.dictionaries(st.integers(0, 5), st.just(0) | exact_inputs, max_size=6), exact_inputs)
 def test_stored_row_is_the_input_over_its_lcm(coeffs, rhs):
     p = LpProblem(6, [0] * 6)
-    p.add(coeffs, "<=", rhs)
+    p.add(coeffs, rhs)
     con = p.constraints[0]
     nonzero = {i: Fraction(v) for i, v in sorted(coeffs.items()) if Fraction(v)}
     assert list(con.coef) == list(nonzero)
@@ -299,34 +301,36 @@ def test_stored_row_is_the_input_over_its_lcm(coeffs, rhs):
 
 
 @st.composite
-def mixed_programs(draw, relations=("<=", "==")):
-    """LPs with rows of the given relations, negative right-hand sides, free
-    and nonnegative variables, and redundant or contradicting equality rows."""
+def mixed_programs(draw):
+    """LPs with negative right-hand sides, free and nonnegative variables,
+    and equalities as opposite pairs of rows, some redundant or
+    contradicting."""
     n = draw(st.integers(1, 4))
     bounds = draw(st.lists(st.none() | st.just(Fraction(0)), min_size=n, max_size=n))
     problem = LpProblem(n, draw(st.lists(coprime_fractions, min_size=n, max_size=n)), bounds)
+    equalities = []
     for _ in range(draw(st.integers(0, 5))):
-        problem.add(
-            dict(enumerate(draw(st.lists(coprime_fractions, min_size=n, max_size=n)))),
-            draw(st.sampled_from(relations)),
-            draw(coprime_fractions),
-        )
-    equalities = [con for con in problem.constraints if con.relation == "=="]
+        row = dict(enumerate(draw(st.lists(coprime_fractions, min_size=n, max_size=n))))
+        rhs = draw(coprime_fractions)
+        if draw(st.booleans()):
+            add_equality(problem, row, rhs)
+            equalities.append((row, rhs))
+        else:
+            problem.add(row, rhs)
     for _ in range(draw(st.integers(0, 2)) if equalities else 0):
-        # a combination of equality rows: redundant, or contradicting when shifted
+        # a combination of equalities: redundant, or contradicting when shifted
         a, b = draw(coprime_fractions), draw(coprime_fractions)
-        first, second = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
-        (row1, rhs1), (row2, rhs2) = rational_row(first), rational_row(second)
+        (row1, rhs1), (row2, rhs2) = draw(st.sampled_from(equalities)), draw(st.sampled_from(equalities))
         shift = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3)]))
-        problem.add(
+        add_equality(
+            problem,
             {i: a * row1.get(i, 0) + b * row2.get(i, 0) for i in range(n)},
-            "==",
             a * rhs1 + b * rhs2 + shift,
         )
     if draw(st.booleans()):  # a box keeps most of these bounded
         for i in range(n):
-            problem.add({i: Fraction(1)}, "<=", Fraction(5))
-            problem.add({i: Fraction(-1)}, "<=", Fraction(5))
+            problem.add({i: Fraction(1)}, Fraction(5))
+            problem.add({i: Fraction(-1)}, Fraction(5))
     return problem
 
 
@@ -349,7 +353,7 @@ def assert_solves_as_fresh(problem):
     fresh = LpProblem(problem.num_vars, problem.objective, problem.lower_bounds)
     for con in problem.constraints:
         coef, rhs = rational_row(con)
-        fresh.add(coef, con.relation, rhs)
+        fresh.add(coef, rhs)
     assert fresh.constraints == problem.constraints
     fresh_sol, fresh_trace = traced_solve(fresh)
     assert (sol.status, sol.value, sol.point) == (fresh_sol.status, fresh_sol.value, fresh_sol.point)
@@ -370,7 +374,7 @@ def test_rows_kept_across_solves_change_nothing(full, data):
         upto = data.draw(st.integers(len(problem.constraints) + 1, len(rows)))
         for con in rows[len(problem.constraints):upto]:
             coef, rhs = rational_row(con)
-            problem.add(coef, con.relation, rhs)
+            problem.add(coef, rhs)
 
 
 @pytest.mark.parametrize("rhs", [7, Fraction(7, 3), "-5/2"])
@@ -379,8 +383,8 @@ def test_integer_rows_are_stored_as_rational_rows_are(rhs):
     stored = []
     for form in (int, Fraction, str):
         p = LpProblem(5, [0] * 5)
-        p.add({i: form(v) for i, v in coeffs.items()}, "<=", rhs)
-        p.add({0: 1, 2: form(3)}, "==", rhs)  # one int among the others
+        p.add({i: form(v) for i, v in coeffs.items()}, rhs)
+        p.add({0: 1, 2: form(3)}, rhs)  # one int among the others
         stored.append(p.constraints)
     assert stored[0] == stored[1] == stored[2]
     for first, other in zip(stored[0], stored[1]):
@@ -392,13 +396,14 @@ def test_integer_rows_are_stored_as_rational_rows_are(rhs):
     assert first.den == Fraction(rhs).denominator
     for coeffs in ({0: True}, {0: 1, 1: False}):
         with pytest.raises(TypeError, match="got bool"):
-            p.add(coeffs, "<=", rhs)
+            p.add(coeffs, rhs)
     assert len(p.constraints) == 2
 
 
 def test_coalition_programs_pivot_as_reference_simplex(monkeypatch):
-    # every working set that row generation solves: phase 1 over == rows and
-    # free variables in full_report, phase 2 only in the nonnegative program
+    # every working set that row generation solves: phase 1 over the least
+    # core's x(N) >= c(N) row and free variables in full_report, phase 2
+    # only in the nonnegative program
     checked = []
 
     def checking(problem):
@@ -415,8 +420,8 @@ def test_coalition_programs_pivot_as_reference_simplex(monkeypatch):
         full_report(random_empty_core_game(rng, 6))
     for model in WEIGHT_MODELS:
         almost_core_optimum(MstGame(random_graph(rng, 7, model)), True)
-    with_equalities = [p for p in checked if any(con.relation == "==" for con in p.constraints)]
-    assert with_equalities and max(p.lower_bounds.count(None) for p in with_equalities) == 6
+    phase1 = [p for p in checked if any(con.rhs < 0 for con in p.constraints)]
+    assert phase1 and max(p.lower_bounds.count(None) for p in phase1) == 6
 
 
 # Points whose denominators mostly do not divide the rows' denominators.
@@ -441,7 +446,7 @@ def test_verify_point_matches_fraction_check(problem, data):
 
 def test_stored_rows_are_read_only():
     p = LpProblem(2, [1, 1])
-    p.add({0: 1, 1: 2}, "<=", 3)
+    p.add({0: 1, 1: 2}, 3)
     coef = p.constraints[0].coef
     with pytest.raises(TypeError):
         coef[0] = 0
@@ -460,36 +465,36 @@ def assert_optimal_vertex(problem, sol):
     stored = [rational_row(con) for con in problem.constraints]
     rows = [[coeffs.get(i, 0) for i in range(n)] for coeffs, _ in stored]
     rhs = [b for _, b in stored]
-    rels = [con.relation for con in problem.constraints]
     for i, lb in enumerate(problem.lower_bounds):
         if lb is not None:
             rows.append([Fraction(-(k == i)) for k in range(n)])
             rhs.append(lb)
-            rels.append("<=")
-    best, argmax = polyhedron_max(problem.objective, rows, rhs, rels)
+    best, argmax = polyhedron_max(problem.objective, rows, rhs)
     assert sol.value == best
     assert sol.point in argmax
 
 
 def test_drive_out_on_a_negative_pivot():
-    # Both equalities keep their artificial at 0 after phase 1. Row 0 reads
-    # -1 in its smallest real column, so it is driven out on a negative
-    # pivot; row 1 is then a copy of row 0 and is deleted.
+    # max x0 subject to x0 + x1 = 2 (rows 0 and 1) and x0 <= x1 (row 2). Phase
+    # 1 enters x0 on row 2 and x1 on row 0, which ties row 1 on the ratio and
+    # has the smaller basic column. Row 1's artificial stays basic at 0 and
+    # reads -1 in its smallest real column, row 0's slack: the drive-out
+    # pivot is the third, and the only negative one.
     p = LpProblem(2, [1, 0], [0, 0])
-    p.add({0: -1, 1: 1}, "==", 0)
-    p.add({0: 1, 1: -1}, "==", 0)
-    p.add({0: 1, 1: 1}, "<=", 2)
+    add_equality(p, {0: 1, 1: 1}, 2)
+    p.add({0: 1, 1: -1}, 0)
     pivots = []
     pivot = _Tableau.pivot
 
     def recording(self, r, c):
-        pivots.append(self.rows[r].coef[c])
+        pivots.append((r, c, self.rows[r].coef[c]))
         pivot(self, r, c)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tableau, "pivot", recording)
         sol = solve(p)
-    assert pivots[0] == -1
+    assert pivots[:3] == [(2, 0, 1), (0, 1, 2), (1, 2, -1)]
+    assert min(v for *_, v in pivots) == -1
     assert sol.point == (1, 1)
     assert_optimal_vertex(p, sol)
 
@@ -498,8 +503,8 @@ def test_gcd_reduction_lowers_a_row_denominator():
     # The last pivot, on the slack of 2x <= 4 (denominator 1), leaves row 0
     # as (2x + 2y + 2s) / 2 = 6 / 2; the gcd brings it back to x + y + s = 3.
     p = LpProblem(2, [2, 3], [0, 0])
-    p.add({0: 1, 1: 1}, "<=", 3)
-    p.add({0: 2}, "<=", 4)
+    p.add({0: 1, 1: 1}, 3)
+    p.add({0: 2}, 4)
     reduced = []
     pivot = _Tableau.pivot
 
@@ -523,9 +528,9 @@ def test_optimum_with_a_denominator_above_64_bits():
     # x0 <= 1 / a0 and x_i <= x_(i-1) / a_i all bind, so x_4 = prod(1 / a_i).
     a = [Fraction(8191, 3), Fraction(8209, 7), Fraction(8219, 11), Fraction(8221, 13), Fraction(8231)]
     p = LpProblem(5, [1] * 5, [0] * 5)
-    p.add({0: a[0]}, "<=", 1)
+    p.add({0: a[0]}, 1)
     for i in range(1, 5):
-        p.add({i - 1: Fraction(-1), i: a[i]}, "<=", 0)
+        p.add({i - 1: Fraction(-1), i: a[i]}, 0)
     sol = solve(p)
     expected = []
     for ai in a:
@@ -536,7 +541,7 @@ def test_optimum_with_a_denominator_above_64_bits():
 
 
 @settings(max_examples=300, deadline=None)
-@given(mixed_programs(relations=("<=",)))
+@given(mixed_programs())
 def test_duals_certify_every_all_le_optimum(problem):
     sol = solve(problem)
     if not sol.is_optimal:
@@ -556,25 +561,41 @@ def test_duals_certify_every_all_le_optimum(problem):
         dual_stored = [rational_row(con) for con in dual.constraints]
         dual_rows = [[coef.get(r, 0) for r in range(m)] for coef, _ in dual_stored]
         dual_rhs = [b for _, b in dual_stored]
-        rels = [con.relation for con in dual.constraints] + ["<="] * m
         dual_rows += [[Fraction(-(k == r)) for k in range(m)] for r in range(m)]  # y >= 0
         dual_rhs += [Fraction(0)] * m
-        best, argmax = polyhedron_max(dual.objective, dual_rows, dual_rhs, rels)
+        best, argmax = polyhedron_max(dual.objective, dual_rows, dual_rhs)
         assert -best == sol.value
         assert sol.duals in argmax
 
 
-def test_duals_only_without_equality_rows():
+def test_every_optimum_carries_checked_duals():
     p = LpProblem(2, [1, 1], [0, 0])
-    p.add({0: 1, 1: 1}, "<=", 4)
+    p.add({0: 1, 1: 1}, 4)
     assert solve(p).duals == (1,)
-    p.add({0: 1, 1: -1}, "==", 0)
+    # x0 = x1 as a pair of rows; the second has rhs 0 and the first binds
+    add_equality(p, {0: 1, 1: -1}, 0)
     sol = solve(p)
-    assert sol.point == (2, 2) and sol.duals is None
+    assert sol.point == (2, 2) and sol.duals == (1, 0, 0)
+    # x0 >= 1 and x1 >= 1 have negative right-hand sides, so phase 1 runs
+    # first; the optimum still carries its duals, and solve checked them
+    p.add({0: -1}, -1)
+    p.add({1: -1}, -1)
+    checked = []
+    check = allocore.lp._check_duals
+
+    def recording(*args):
+        checked.append(check(*args))
+        return checked[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(allocore.lp, "_check_duals", recording)
+        sol = solve(p)
+    assert sol.point == (2, 2) and checked == [sol.duals]
+    assert len(sol.duals) == 5 and sol.duals[0] == 1 and sum(sol.duals) == 1
     q = LpProblem(1, [1])
-    q.add({0: -1}, "<=", 0)
+    q.add({0: -1}, 0)
     assert solve(q) == (LpStatus.UNBOUNDED, None, None, None)
-    q.add({0: 1}, "<=", -1)
+    q.add({0: 1}, -1)
     assert solve(q) == (LpStatus.INFEASIBLE, None, None, None)
 
 
@@ -592,9 +613,9 @@ def test_a_wrong_dual_makes_solve_raise(monkeypatch, tamper, message):
     # max x0 + x1 over x1 <= 3, x0 + x1 <= 2 and x0 - x1 <= 1, whose only dual
     # optimum is (0, 1, 0); x0 is free, so its column must be met exactly
     p = LpProblem(2, [1, 1], [None, 0])
-    p.add({1: 1}, "<=", 3)
-    p.add({0: 1, 1: 1}, "<=", 2)
-    p.add({0: 1, 1: -1}, "<=", 1)
+    p.add({1: 1}, 3)
+    p.add({0: 1, 1: 1}, 2)
+    p.add({0: 1, 1: -1}, 1)
     sol = solve(p)
     assert (sol.value, sol.duals) == (2, (0, 1, 0))
     support = allocore.lp._dual_support

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import allocore.relaxations
+from allocore import instances
 from allocore.coalition import Coalition
 from allocore.errors import PreconditionError, UndefinedRatioError
 from allocore.games import ExplicitGame, satisfies_last_monotone, subset_sums
@@ -558,10 +560,10 @@ def _programs(game):
         return -eps, (*x, eps)
 
     cases = {
-        "core": (dense_coalition_program(game, [1] * n, grand="<="), core),
+        "core": (dense_coalition_program(game, [1] * n, grand=1), core),
         "least-core": (
             dense_coalition_program(
-                game, [0] * n + [-1], [None] * n + [0], extra=lambda bits: {n: -1}, grand="=="
+                game, [0] * n + [-1], [None] * n + [0], extra=lambda bits: {n: -1}, grand=-1
             ),
             least_core,
         ),
@@ -663,8 +665,8 @@ class TestRowGeneration:
                 for con in stored:
                     bits = sum(1 << i for i in con.coef if i < n)
                     want = dense.constraints[-1 if bits == full else bits - 1]
-                    assert (list(con.coef.items()), con.relation, con.rhs, con.den) == (
-                        list(want.coef.items()), want.relation, want.rhs, want.den
+                    assert (list(con.coef.items()), con.rhs, con.den) == (
+                        list(want.coef.items()), want.rhs, want.den
                     ), (name, bits)
         assert generated > 0  # rows past the seed rows were compared too
 
@@ -780,3 +782,78 @@ class TestDerivedFromCoreSolve:
             "the almost-core program", "the almost-core program", "the core program",
             "the least-core program",
         ]
+
+
+class TestLeastCoreCertificate:
+    """The least-core program's duals in the paper's terms: weights
+    lambda_S >= 0 on proper coalitions and mu >= 0 on the grand row
+    x(N) >= c(N). Dual feasibility reads sum over S containing i of
+    lambda_S = mu for every agent i (x_i is free) and sum of lambda_S <= 1
+    (eps >= 0); strong duality reads eps* = mu c(N) - sum lambda_S c(S).
+    Everything is recomputed with Fraction and game.cost_bits only."""
+
+    INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+    GRAPHS = ("large_gap_k5", "steiner_counterexample", "subsidy_k5", "tight_ratio_eps_quarter")
+    CASES = [(name, False) for name in ("empty_core", *GRAPHS)] + [(name, True) for name in GRAPHS]
+
+    @staticmethod
+    def _assert_certified(game, solved):
+        eps, x = least_core_eps(game)
+        problem, solution = solved[-1]
+        n, full = game.n, (1 << game.n) - 1
+        weights, mu = {}, None
+        for con, y in zip(problem.constraints, solution.duals, strict=True):
+            bits = sum(1 << i for i in con.coef if i < n)
+            assert y >= 0
+            if bits == full:
+                mu = y
+            else:
+                weights[bits] = y
+        assert mu is not None and len(weights) == len(problem.constraints) - 1
+        for i in range(n):
+            assert sum((y for bits, y in weights.items() if bits >> i & 1), Fraction(0)) == mu
+        total = sum(weights.values(), Fraction(0))
+        assert total <= 1
+        assert eps == mu * game.grand_cost() - sum(
+            (y * game.cost_bits(bits) for bits, y in weights.items()), Fraction(0)
+        )
+        if eps > 0:
+            # complementary slackness: eps is basic, so its dual row is tight,
+            # and mu > 0 makes x(N) >= c(N) tight at every optimum
+            assert total == 1 and mu > 0
+        # the witness, checked without the LP code
+        assert sum(x) == game.grand_cost()
+        assert almost_core_member(game, [v - eps for v in x])
+        return eps
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        solved = []
+
+        def capturing(problem):
+            solution = solve(problem)
+            solved.append((problem, solution))
+            return solution
+
+        monkeypatch.setattr(allocore.relaxations, "solve", capturing)
+        return solved
+
+    @pytest.mark.parametrize(
+        "name, monotonize", CASES, ids=[name + "-monotonized" * m for name, m in CASES]
+    )
+    def test_instances(self, solved, name, monotonize):
+        inst = instances.parse((self.INSTANCES / f"{name}.json").read_text())
+        self._assert_certified(instances.to_game(inst, monotonize=monotonize), solved)
+
+    def test_random_sweep(self, solved):
+        rng = Random(99)
+        games = []
+        for n in range(2, 7):
+            for _ in range(8):
+                games += [random_explicit_game(rng, n), random_empty_core_game(rng, n)]
+        for n in range(3, 7):
+            for model in WEIGHT_MODELS:
+                graph = random_graph(rng, n, model)
+                games += [MstGame(graph), MstGame(graph, monotonized=True)]
+        positive = sum(self._assert_certified(game, solved) > 0 for game in games)
+        assert len(games) == 112 and 0 < positive < len(games)
