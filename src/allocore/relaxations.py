@@ -35,17 +35,21 @@ about n bind at an optimal vertex, so each is solved by row generation
 (``_solve_coalitions``, the one builder of coalition rows). The working
 set starts from the n singleton rows, plus the grand-coalition row where
 the program has one; these bound every program. A proper row reads
-x(S) - slack, the row giving up one slack (eps in the least core). After
-each exact solve, one scan of all coalitions on integers (the point and
-the cost table over one common denominator, x(S) from one subset-sum pass,
-less the slack) finds the violated rows, and the n most violated, ties to
-the smaller bitmask, join the working set. When the scan finds none, the
-working-set optimum is feasible for the full program and at least its
+x(S) - slack, the row giving up one slack (eps in the least core). Each
+round scans all coalitions on integers (the point and the cost table over
+one common denominator, x(S) from one subset-sum pass, less the slack),
+and the n most violated rows, ties to the smaller bitmask, join the
+working set, whose exact optimum is the next point. When the scan finds
+none, that point is feasible for the full program and at least its
 optimum (the working set is a relaxation), so it is the exact optimum.
-On three random rational-model spanning-tree
-games per size, the nonnegative almost-core program took 4 to 8 rounds
-and ended with 36 to 56 of its 510 rows at n = 9, 53 to 72 of 4094 at
-n = 12 and 45 to 112 of 16382 at n = 14.
+The first point, the seed rows' optimum, needs no solve in the almost-core
+programs (no slack, no grand row, a positive objective): x_i <= c({i})
+has the one optimum x_i = c({i}). Their seed rows are solved only when
+that point violates no coalition, so every answer carries checked duals.
+On three random rational-model spanning-tree games per size, the
+nonnegative almost-core program took 4 to 8 scans and 3 to 7 solves and
+ended with 36 to 56 of its 510 rows at n = 9, 53 to 72 of 4094 at n = 12
+and 45 to 112 of 16382 at n = 14.
 """
 
 from __future__ import annotations
@@ -92,9 +96,10 @@ def _solve_coalitions(
     ``grand`` is 1 or -1; x are the first n variables and y the rest.
     ``slack`` names the y variable taken off each proper row.
 
-    Solved by row generation (see the module docstring). Every program here
-    is feasible and its seed rows bound it, so a working set that does not
-    solve to OPTIMAL is a bug and raises AssertionError.
+    Solved by row generation (see the module docstring); the almost-core
+    programs' first point x_i = c({i}) is read from the table. Every
+    program here is feasible and its seed rows bound it, so a working set
+    that does not solve to OPTIMAL is a bug and raises AssertionError.
     """
     check_enum_limit(game.n, f"building {what}")
     n = game.n
@@ -115,10 +120,19 @@ def _solve_coalitions(
         add(bits)
     if grand is not None:
         problem.add(dict.fromkeys(range(n), grand), grand * game.cost_bits(full))
-    while True:
+
+    def solved() -> LpSolution:
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
-        point, scale = over_common_denominator(solution.point, d)
+        return solution
+
+    seeded = slack is None and grand is None and n >= 2 and min(problem.objective) > 0
+    while True:
+        if seeded:
+            point, scale = [table[1 << i] for i in range(n)], d
+        else:
+            solution = solved()
+            point, scale = over_common_denominator(solution.point, d)
         off = 0 if slack is None else point[slack]
         factor = scale // d
         excess = [a - off - factor * c for a, c in zip(subset_sums(point[:n]), table)]
@@ -126,8 +140,9 @@ def _solve_coalitions(
             n, [b for b in range(1, full) if excess[b] > 0], key=excess.__getitem__
         )
         if not violated:
-            return solution
-        # the verified point satisfies its rows, so a scan that disagrees would loop forever
+            return solved() if seeded else solution
+        seeded = False
+        # every point satisfies its rows, so a scan that disagrees would loop forever
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
         for bits in violated:

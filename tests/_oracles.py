@@ -133,6 +133,39 @@ def almost_core_problem(game, require_nonneg=False):
     return dense_coalition_program(game, [1] * n, [0] * n if require_nonneg else None)
 
 
+def reference_row_generation(game, require_nonneg=False):
+    """The almost-core program by row generation that solves every round,
+    the first included: the singleton rows, then after each solve the n
+    coalitions of largest excess x(S) - c(S) > 0, ties to the smaller
+    bitmask, scanned in Fraction arithmetic, until a solve's point violates
+    no proper coalition. Returns (the last solution, its problem)."""
+    from allocore.lp import LpProblem, solve
+
+    n = game.n
+    costs = game.table()
+    problem = LpProblem(n, [1] * n, [0] * n if require_nonneg else None)
+
+    def add(bits):
+        problem.add({i: 1 for i in range(n) if bits >> i & 1}, costs[bits])
+
+    for i in range(n):
+        add(1 << i)
+    while True:
+        solution = solve(problem)
+        assert solution.is_optimal
+        # x(S) = x(S minus its lowest agent) + that agent's share
+        sums = [Fraction(0)] * len(costs)
+        for bits in range(1, len(costs)):
+            low = bits & -bits
+            sums[bits] = sums[bits ^ low] + solution.point[low.bit_length() - 1]
+        excess = {bits: sums[bits] - costs[bits] for bits in range(1, len(costs) - 1)}
+        violated = sorted((b for b, e in excess.items() if e > 0), key=lambda b: (-excess[b], b))
+        if not violated:
+            return solution, problem
+        for bits in violated[:n]:
+            add(bits)
+
+
 def weak_core_problem(game):
     """max -eps over (x, eps), eps >= 0 the variable n, subject to
     x(S) - |S| eps <= c(S) for every proper S and x(N) >= c(N): the weak

@@ -8,7 +8,7 @@ import allocore.relaxations
 from allocore import instances
 from allocore.coalition import Coalition
 from allocore.errors import PreconditionError, UndefinedRatioError
-from allocore.games import ExplicitGame, satisfies_last_monotone, subset_sums
+from allocore.games import ExplicitGame, Game, satisfies_last_monotone, subset_sums
 from allocore.generators import (
     WEIGHT_MODELS,
     random_empty_core_game,
@@ -44,6 +44,7 @@ from _oracles import (
     first_failing_pair,
     min_stable_profit,
     reference_lift,
+    reference_row_generation,
     subsidy_problem,
     submodular,
     weak_core_problem,
@@ -591,6 +592,11 @@ def _derived_programs(game):
     return {"weak-core": (weak_core_problem(game), weak), "subsidy": (subsidy_problem(game), subsidy)}
 
 
+def _row(con):
+    """A stored row as plain data: its coefficients in order, rhs and den."""
+    return list(con.coef.items()), con.rhs, con.den
+
+
 def _assert_matches_dense(game):
     for name, (problem, run) in {**_programs(game), **_derived_programs(game)}.items():
         value, point = run()
@@ -665,27 +671,119 @@ class TestRowGeneration:
                 for con in stored:
                     bits = sum(1 << i for i in con.coef if i < n)
                     want = dense.constraints[-1 if bits == full else bits - 1]
-                    assert (list(con.coef.items()), con.rhs, con.den) == (
-                        list(want.coef.items()), want.rhs, want.den
-                    ), (name, bits)
+                    assert _row(con) == _row(want), (name, bits)
         assert generated > 0  # rows past the seed rows were compared too
 
     def test_rounds(self, monkeypatch):
-        solves = []
+        solves, solutions = [], []
 
         def counting(problem):
             solves.append(len(problem.constraints))
-            return solve(problem)
+            solutions.append(solve(problem))
+            return solutions[-1]
 
         monkeypatch.setattr(allocore.relaxations, "solve", counting)
-        # additive costs: charging every singleton its cost violates no coalition
+        # additive costs: charging every singleton its cost violates no coalition,
+        # so the seed rows are solved once and carry the duals
         additive = ExplicitGame(3, [0, 1, 2, 3, 4, 5, 6, 7])
         assert almost_core_optimum(additive) == (7, (1, 2, 4))
-        assert solves == [3]
+        assert solves == [3] and solutions[-1].duals == (1, 1, 1)
         solves.clear()
-        # every pair costs 1: the singleton optimum violates all three pair rows
+        # every pair costs 1: the singleton optimum (1, 1, 1), read from the
+        # table without a solve, violates all three pair rows
         assert almost_core_optimum(ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2]))[0] == Fraction(3, 2)
-        assert solves == [3, 6]
+        assert solves == [6]
+
+    def test_almost_core_programs_solve_once_less_than_they_scan(self, monkeypatch):
+        # the first scan reads the seed optimum x_i = c({i}) instead of solving
+        # for it; the core and least-core programs keep their first solve
+        counts = dict.fromkeys(("solve", "scan"), 0)
+
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(allocore.relaxations, "solve", counted("solve", solve))
+        monkeypatch.setattr(allocore.relaxations, "subset_sums", counted("scan", subset_sums))
+        rng = Random(98)
+        games = [ExplicitGame(3, [0, 1, 2, 3, 4, 5, 6, 7])]
+        for n in range(2, 7):
+            games += [random_explicit_game(rng, n), random_empty_core_game(rng, n)]
+        games += [MstGame(random_graph(rng, n, model)) for n in (3, 6, 8) for model in WEIGHT_MODELS]
+        skipped = kept = 0
+        for game in games:
+            for nonneg in (False, True):
+                counts.update(solve=0, scan=0)
+                almost_core_optimum(game, nonneg)
+                if counts["scan"] > 1:  # the first scan found a violation
+                    assert counts["solve"] == counts["scan"] - 1, (game.table(), nonneg)
+                    skipped += 1
+                else:
+                    assert counts["solve"] == counts["scan"] == 1, (game.table(), nonneg)
+                    kept += 1
+            for run in (lambda: core_optimum(game, [1] * game.n), lambda: least_core_eps(game)):
+                counts.update(solve=0, scan=0)
+                run()
+                assert counts["solve"] == counts["scan"] >= 1, game.table()
+        assert skipped and kept
+
+    def test_matches_a_loop_that_solves_every_round(self, monkeypatch):
+        # the seed optimum is unique, so skipping its solve changes no added
+        # row, no later solve and no output: same solution, same rows in order
+        problems = []
+
+        def capturing(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(allocore.relaxations, "solve", capturing)
+        rng = Random(99)
+        games = [
+            random_empty_core_game(rng, n) if empty else random_explicit_game(rng, n)
+            for n in range(2, 8) for empty in (False, True) for _ in range(20)
+        ]
+        games += [
+            MstGame(random_graph(rng, n, model))
+            for n in range(3, 11) for model in WEIGHT_MODELS for _ in range(5)
+        ]
+        assert len(games) >= 400
+        for game in games:
+            for nonneg in (False, True):
+                problems.clear()
+                got = allocore.relaxations._solve_coalitions(
+                    game, [1] * game.n, [0] * game.n if nonneg else None, what="the sweep"
+                )
+                want, reference = reference_row_generation(game, nonneg)
+                assert got == want, (game.table(), nonneg)
+                assert [_row(con) for con in problems[-1].constraints] == [
+                    _row(con) for con in reference.constraints
+                ], (game.table(), nonneg)
+
+    def test_one_agent_still_solves_its_empty_seed_program(self):
+        # the one singleton row is N, so the seed program has no rows at all
+        with pytest.raises(AssertionError, match=r"came back LpStatus\.UNBOUNDED over its rows"):
+            allocore.relaxations._solve_coalitions(
+                ExplicitGame(1, [0, 5]), [1], what="the almost-core program"
+            )
+
+    @pytest.mark.parametrize("costs", [[0, -1, 2, 3], [0, -1, 2, 3, 2, 3, 1, 4]])
+    def test_negative_singleton_cost_leaves_the_nonneg_program_infeasible(self, costs):
+        # x_1 <= c({1}) < 0 <= x_1: infeasible whether or not the first scan finds
+        # a violation (none at n = 2, {2, 3} at n = 3)
+        class NegativeSingleton(Game):
+            n = len(costs).bit_length() - 1
+
+            def cost_bits(self, bits):
+                return Fraction(costs[bits])
+
+        with pytest.raises(
+            AssertionError,
+            match=r"^the almost-core program came back LpStatus\.INFEASIBLE over its rows$",
+        ):
+            almost_core_optimum(NegativeSingleton(), require_nonneg=True)
 
 
 class TestDerivedFromCoreSolve:
