@@ -18,11 +18,11 @@ add those integers; scaling by D > 0 keeps every comparison, so tie-breaks
 and trees are those of the rational weights. ``Fraction(value, D)`` is
 built only where a value leaves the class.
 
-Two paths compute costs. Prim (``GraphInstance._tree``) serves trees,
-insertion orders, the one-tree allocation, the 2-approximation and single
-coalition lookups at any n. The full 2^n table (n <= 16) comes from one
-integer subset recurrence that removes an MST leaf,
-c(S) = min over v in S of c(S - v) + near_v(S - v), with near_v(X) the
+Two paths compute costs. Prim (``GraphInstance.prim``, the package's one
+Prim) serves trees, insertion orders, the one-tree allocation, the
+2-approximation and single coalition lookups at any n. The full 2^n table
+(n <= 16) comes from one integer subset recurrence that removes an MST
+leaf, c(S) = min over v in S of c(S - v) + near_v(S - v), with near_v(X) the
 cheapest edge from v into {0} + X (see :func:`_leaf_removal_table`). The
 table is built once per graph; every later lookup, the monotonization
 sweep, ``MstGame.table`` and ``MstGame.scaled_table`` read it.
@@ -44,6 +44,11 @@ GRAPH_AGENT_LIMIT = 1000
 _ZERO = Fraction(0)
 
 
+def _check_int(n: object) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
+
+
 class GraphInstance:
     """A complete weighted graph on nodes {0, 1, ..., n}; node 0 is the supplier.
 
@@ -57,8 +62,7 @@ class GraphInstance:
     """
 
     def __init__(self, n: int, weights: Sequence[Sequence[object]]):
-        if isinstance(n, bool):
-            raise TypeError("n must be an int, got bool")
+        _check_int(n)
         if n < 1:
             raise ValueError("need at least one agent")
         if len(weights) != n + 1 or any(len(row) != n + 1 for row in weights):
@@ -91,6 +95,7 @@ class GraphInstance:
         spanning tree of the given edges, so they never enter an MST. The
         given edges must connect {0, ..., n}, and n may not exceed
         ``GRAPH_AGENT_LIMIT`` (EnumerationLimitError)."""
+        _check_int(n)
         seen: dict[tuple[int, int], Fraction] = {}
         total = _ZERO
         for i, j, wv in edges:
@@ -135,9 +140,14 @@ class GraphInstance:
             w[j][i] = v
         return cls(n, w)
 
-    def _tree(self, vertices: Iterable[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
-        """Prim's algorithm on the scaled weights: (D * total weight,
-        insertion order, edges). Tie-breaks as in :meth:`prim`."""
+    def prim(self, vertices: Iterable[int]) -> tuple[int, list[int], list[tuple[int, int]]]:
+        """Prim's algorithm on {0} + vertices, starting at the supplier.
+
+        Returns (D * total weight, insertion order, edges (tree_end,
+        new_vertex)), where D is ``denominator``. Tie-breaking is fixed:
+        among minimum-weight candidate edges, the largest new vertex wins,
+        then the smallest tree endpoint.
+        """
         w = self._w
         remaining = sorted(set(vertices))
         best = [w[0][v] for v in remaining]  # cheapest edge into the tree
@@ -161,22 +171,12 @@ class GraphInstance:
                     near[slot] = pick
         return total, order, edges
 
-    def prim(self, vertices: Sequence[int]) -> tuple[Fraction, list[int], list[tuple[int, int]]]:
-        """Prim's algorithm on {0} + vertices, starting at the supplier.
-
-        Returns (total weight, insertion order, edges (tree_end, new_vertex)).
-        Tie-breaking is fixed: among minimum-weight candidate edges, the
-        largest new vertex wins, then the smallest tree endpoint.
-        """
-        total, order, edges = self._tree(vertices)
-        return Fraction(total, self.denominator), order, edges
-
     def _cost(self, bits: int) -> int:
         """D times the coalition's spanning-tree cost: read from the table
         once it exists, otherwise one Prim run."""
         if self._table is not None:
             return self._table[bits]
-        return self._tree(bits_members(bits))[0]
+        return self.prim(bits_members(bits))[0]
 
     def coalition_cost(self, bits: int) -> Fraction:
         """MST cost of the subgraph induced by the coalition plus the supplier."""
@@ -314,7 +314,7 @@ def granot_huberman(graph: GraphInstance) -> tuple[Fraction, ...]:
     Budget balanced, and a core allocation of both the plain and the
     monotonized game.
     """
-    _, _, edges = graph._tree(range(1, graph.n + 1))
+    _, _, edges = graph.prim(range(1, graph.n + 1))
     shares = [_ZERO] * graph.n
     for (i, j) in edges:
         shares[j - 1] = graph.weights[i][j]
@@ -344,7 +344,7 @@ def almost_core_approx(graph: GraphInstance) -> tuple[tuple[Fraction, ...], Appr
     n = graph.n
     if n < 2:
         raise PreconditionError("the approximation needs at least two agents")
-    total, order, edges = graph._tree(range(1, n + 1))
+    total, order, edges = graph.prim(range(1, n + 1))
     w = graph._w
     shares = [0] * n  # D times each share
     for (i, j) in edges:

@@ -49,6 +49,13 @@ class TestGraphInstance:
             GraphInstance(0, [[0]])
         with pytest.raises(TypeError, match="n must be an int, got bool"):
             GraphInstance(True, [[0, 1], [1, 0]])
+        # a float or str n is named before any other check fails on it
+        w = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        for n, name in ((2.0, "float"), ("2", "str")):
+            with pytest.raises(TypeError, match=f"^n must be an int, got {name}$"):
+                GraphInstance(n, w)
+            with pytest.raises(TypeError, match=f"^n must be an int, got {name}$"):
+                GraphInstance.from_edges(n, [(0, 1, 1), (1, 2, 1)])
 
     def test_first_bad_weight_in_row_major_order_is_reported(self):
         # the negative entry (0,1) comes before the float (0,2)
@@ -98,7 +105,7 @@ class TestMstCost:
 
     def test_prim_tree_is_the_cheap_path(self, tight_quarter):
         total, order, edges = tight_quarter.prim([1, 2, 3])
-        assert total == 1
+        assert Fraction(total, tight_quarter.denominator) == 1
         assert order == [1, 2, 3]
         assert edges == [(0, 1), (1, 2), (2, 3)]
 
@@ -348,8 +355,8 @@ def test_prim_matches_reference_prim(graph, data):
     for _ in range(4):
         vertices = data.draw(st.lists(st.integers(1, graph.n), unique=True))
         total, order, edges = graph.prim(vertices)
-        assert isinstance(total, Fraction)
-        assert (total, order, edges) == reference_prim(graph, vertices)
+        assert type(total) is int
+        assert (Fraction(total, graph.denominator), order, edges) == reference_prim(graph, vertices)
     if graph.n >= 2:
         _, trace = almost_core_approx(graph)
         _, order, edges = reference_prim(graph, range(1, graph.n + 1))
@@ -448,8 +455,8 @@ def test_table_exports_match_per_entry_fractions(model):
 @pytest.mark.parametrize("kind", WEIGHT_MODELS + ("ties",))
 def test_mst_game_table_reads_the_graph_table(kind, monkeypatch):
     trees = []
-    tree = GraphInstance._tree
-    monkeypatch.setattr(GraphInstance, "_tree", lambda self, v: trees.append(v) or tree(self, v))
+    tree = GraphInstance.prim
+    monkeypatch.setattr(GraphInstance, "prim", lambda self, v: trees.append(v) or tree(self, v))
     for n in range(1, 8):
         graph = fixed_graph(kind, n, seed=n)
         for monotonized in (False, True):
@@ -469,10 +476,35 @@ def test_nonneg_almost_core_after_the_approximation_runs_no_prim(model, monkeypa
     graph = random_graph(Random(len(model)), 7, model)
     almost_core_approx(graph)
     trees = []
-    tree = GraphInstance._tree
-    monkeypatch.setattr(GraphInstance, "_tree", lambda self, v: trees.append(v) or tree(self, v))
+    tree = GraphInstance.prim
+    monkeypatch.setattr(GraphInstance, "prim", lambda self, v: trees.append(v) or tree(self, v))
     almost_core_optimum(MstGame(graph), True)
     assert trees == []
+
+
+@pytest.mark.parametrize("model", WEIGHT_MODELS)
+def test_prim_runs_per_call(model, monkeypatch):
+    # every Prim run goes through the one traced kernel, GraphInstance.prim
+    runs = []
+    prim = GraphInstance.prim
+    monkeypatch.setattr(GraphInstance, "prim", lambda self, v: runs.append(v) or prim(self, v))
+
+    def count(call, *args):
+        runs.clear()
+        call(*args)
+        return len(runs)
+
+    rng = Random(len(model))
+    for n in range(2, 9):
+        # one tree, then c(N - k) for every agent k but the last inserted
+        assert count(almost_core_approx, random_graph(rng, n, model)) == n
+        assert count(granot_huberman, random_graph(rng, n, model)) == 1
+        graph = random_graph(rng, n, model)
+        graph.cost_table()
+        assert count(almost_core_approx, graph) == 1  # lookups read the table
+        graph = random_graph(rng, n, model)
+        almost_core_approx(graph)
+        assert count(almost_core_optimum, MstGame(graph), True) == 0
 
 
 def expected_separation(scan, n):
