@@ -118,7 +118,11 @@ def random_empty_core_game(rng: Random, n: int, max_tries: int = 1000) -> Explic
 
     Proper coalitions get small costs and the grand coalition a large one,
     which makes empty cores frequent; every candidate is still checked.
+    A game with fewer than two agents always has a core, so n < 2 raises
+    ValueError before the first draw.
     """
+    if n < 2:
+        raise ValueError(f"an empty core needs at least two agents, got n = {n}")
     for _ in range(max_tries):
         table = [0] + [rng.randint(1, 6) for _ in range((1 << n) - 2)]
         table.append(rng.randint(2 * n, 3 * n))

@@ -27,6 +27,15 @@ relations that compare separate programs with the core solve (core
 emptiness against the almost-core optimum, and the least-core value
 against the weak epsilon).
 
+``full_report`` skips two programs when it already holds their optimum.
+The nonnegative almost-core program is the almost-core program plus
+x >= 0, so an almost-core maximizer x_a >= 0 is feasible there and its
+value bounds that program: x_a is its optimum. The least core has the
+bound eps >= 0, and a nonempty core's witness is budget balanced and
+meets every row with eps = 0, so (0, witness) is its optimum. A report
+thus always solves the core and the almost-core program, and the other
+two only on a negative share of x_a or on an empty core.
+
 The least core's grand row is x(N) >= c(N), so every program has <= rows
 only and a checked dual certificate. Lowering a share keeps every proper
 row, so min eps is unchanged, and lowering agent 1 by x(N) - c(N) makes
@@ -310,12 +319,13 @@ def full_report(game: Game) -> RelaxationReport:
     One certified core solve gives the core witness, gamma, eps_m, the cost
     of stability, the weak epsilon and the minimum subsidy, so the
     identities among them hold by algebra (module docstring) and are not
-    re-checked here. The two almost-core optima and the least-core value
-    each come from their own program, and those are checked against the
-    core solve: core emptiness against the almost-core optimum, eps_w <=
-    eps_s <= (n-1) eps_w, and eps_s = 0 on a nonempty core. On an empty
-    core, gamma must be defined (c(N) > 0), which only negative costs can
-    break.
+    re-checked here. The almost-core optimum x_a comes from its own
+    program. The nonnegative optimum is x_a when x_a >= 0, and the least
+    core is (0, core witness) on a nonempty core; otherwise each comes
+    from its own program (module docstring). Those are checked against
+    the core solve: core emptiness against the almost-core optimum, and
+    eps_w <= eps_s <= (n-1) eps_w. On an empty core, gamma must be
+    defined (c(N) > 0), which only negative costs can break.
     """
     n = game.n
     c_grand = game.grand_cost()
@@ -323,17 +333,15 @@ def full_report(game: Game) -> RelaxationReport:
     has_core = shareable.core is not None
     mult, gamma = shareable.mult, shareable.gamma
     ac_val, ac_x = almost_core_optimum(game, False)
-    acn_val, acn_x = almost_core_optimum(game, True)
-    eps_s, eps_s_x = least_core_eps(game)
+    acn_val, acn_x = (ac_val, ac_x) if min(ac_x) >= 0 else almost_core_optimum(game, True)
+    eps_s, eps_s_x = (_ZERO, shareable.core) if has_core else least_core_eps(game)
     eps_w, eps_w_x = shareable.weak_core_eps
     delta_ec, (ec_x, ec_t) = shareable.extended_core_delta
 
     _ensure(has_core == (ac_val >= c_grand), "core emptiness disagrees with the almost-core optimum")
     _ensure(eps_w <= eps_s, "weak epsilon exceeded the strong epsilon")
     _ensure((n - 1) * eps_w >= eps_s, "strong epsilon exceeded (n-1) times the weak epsilon")
-    if has_core:
-        _ensure(eps_s == 0, "balanced game with a nonzero least-core value")
-    else:
+    if not has_core:
         _ensure(gamma is not None, "empty core forces c(N) > 0, gamma must be defined")
 
     return RelaxationReport(

@@ -301,6 +301,16 @@ def test_over_common_denominator_is_exact(values, base):
     assert [Fraction(v, d) for v in scaled] == values
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_empty_core_sampling_needs_two_agents(n):
+    # fewer than two agents always have a core, so no draw is made
+    rng = Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=rf"^an empty core needs at least two agents, got n = {n}$"):
+        random_empty_core_game(rng, n)
+    assert rng.getstate() == state
+
+
 def test_share_vectors_are_tuples_of_fractions(unbalanced3, tight_quarter):
     # The CLI prints a Fraction as "p/q" but an int as a JSON number, so a
     # share that is not a Fraction would change the output.

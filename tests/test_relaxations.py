@@ -40,6 +40,7 @@ from _oracles import (
     almost_core_member,
     almost_core_nonneg_member,
     almost_core_problem,
+    coalition_sum,
     dense_coalition_program,
     first_failing_pair,
     min_stable_profit,
@@ -805,7 +806,7 @@ class TestDerivedFromCoreSolve:
                     yield MstGame(graph, monotonized=True)
 
     def test_dense_programs_agree_on_a_sweep(self):
-        games = empty = 0
+        games = empty = negative = 0
         for game in self._sweep_games():
             r = full_report(game)
             eps, x = r.eps_weak, r.eps_weak_allocation
@@ -820,9 +821,35 @@ class TestDerivedFromCoreSolve:
             assert almost_core_member(game, [v - eps for v in x])
             assert min(t) >= 0 and sum(t) == delta and sum(xs) == c_grand
             assert almost_core_member(game, [a - b for a, b in zip(xs, t)])
+            # full_report reuses x_a when x_a >= 0 and the core witness on a
+            # nonempty core; the standalone programs must reach the same values
+            acn, acn_x = r.ac_opt_nonneg, r.ac_opt_nonneg_allocation
+            assert acn == almost_core_optimum(game, True)[0]
+            assert almost_core_nonneg_member(game, acn_x) and sum(acn_x) == acn
+            eps_s, x_s = r.eps_strong, r.eps_strong_allocation
+            assert eps_s == least_core_eps(game)[0]
+            assert sum(x_s) == c_grand
+            assert all(
+                coalition_sum(x_s, bits) - eps_s <= game.cost_bits(bits)
+                for bits in range(1, (1 << game.n) - 1)
+            )
             games += 1
             empty += not r.core_nonempty
-        assert games >= 400 and empty >= 180
+            negative += min(r.ac_opt_allocation) < 0
+        # both sides of both reuse rules: 296 empty cores, 127 negative shares
+        assert games >= 400 and 180 <= empty <= games - 100 and 100 <= negative <= games - 100
+
+    def test_a_report_keeps_x_a_as_the_nonneg_witness(self):
+        # x_a >= 0 here, so the report returns it; the x >= 0 program's own
+        # vertex differs but has the same value
+        rng = Random(275)
+        game = MstGame(random_graph(rng, rng.randint(2, 8), "nearpath"))
+        r = full_report(game)
+        value, x = almost_core_optimum(game, True)
+        assert game.n == 8 and r.ac_opt_nonneg == r.ac_opt == value == 18
+        assert r.ac_opt_nonneg_allocation == r.ac_opt_allocation == (3, 6, 2, 0, 1, 3, 3, 0)
+        assert x == (3, 6, 2, 0, 1, 3, 2, 1)
+        assert almost_core_nonneg_member(game, x) and almost_core_nonneg_member(game, r.ac_opt_allocation)
 
     def test_no_agents(self):
         game = ExplicitGame(0, [0])
@@ -865,21 +892,35 @@ class TestDerivedFromCoreSolve:
             assert cover == [1] * n
             assert weighted == solution.value
 
-    def test_a_report_runs_four_programs(self, monkeypatch):
-        game = random_empty_core_game(Random(98), 5)  # sampling runs core solves
-        programs = []
+    AC, CORE, LEAST = "the almost-core program", "the core program", "the least-core program"
+
+    @pytest.mark.parametrize(
+        "make, negative_share, programs",
+        [
+            # empty core, x_a >= 0: x_a is also the nonnegative optimum
+            (lambda tq: random_empty_core_game(Random(98), 5), False, [AC, CORE, LEAST]),
+            (lambda tq: random_empty_core_game(Random(98), 3), True, [AC, AC, CORE, LEAST]),
+            # nonempty core: its witness is the least core's optimum (eps = 0)
+            (lambda tq: MstGame(tq), False, [AC, CORE]),
+        ],
+        ids=["empty-core", "empty-core-negative-share", "tight-quarter"],
+    )
+    def test_a_report_skips_the_programs_it_holds(
+        self, monkeypatch, tight_quarter, make, negative_share, programs
+    ):
+        game = make(tight_quarter)  # sampling runs core solves
+        ran = []
         solve_coalitions = allocore.relaxations._solve_coalitions
 
         def recording(game, objective, bounds=None, **kwargs):
-            programs.append(kwargs["what"])
+            ran.append(kwargs["what"])
             return solve_coalitions(game, objective, bounds, **kwargs)
 
         monkeypatch.setattr(allocore.relaxations, "_solve_coalitions", recording)
-        full_report(game)
-        assert sorted(programs) == [
-            "the almost-core program", "the almost-core program", "the core program",
-            "the least-core program",
-        ]
+        r = full_report(game)
+        assert (min(r.ac_opt_allocation) < 0) == negative_share
+        assert r.core_nonempty == (self.LEAST not in programs)
+        assert sorted(ran) == programs
 
 
 class TestLeastCoreCertificate:
