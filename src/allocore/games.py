@@ -85,6 +85,14 @@ class Game:
         check_enum_limit(self.n, "building a full cost table")
         return tuple(self.cost_bits(bits) for bits in range(1 << self.n))
 
+    def seed_coalitions(self) -> list[int]:
+        """The bitmasks, ascending, whose rows start every coalition
+        program's working set (see ``relaxations._solve_coalitions``): the
+        n singletons. Never the empty set or N, so at n = 1, whose one
+        singleton is N, there are none."""
+        full = (1 << self.n) - 1
+        return [1 << i for i in range(self.n) if 1 << i != full]
+
     def scaled_table(self) -> tuple[Sequence[int], int]:
         """(D * table, D): the cost table as integers over one common
         denominator D, the lcm of the entries' denominators. Computed on

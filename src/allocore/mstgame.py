@@ -307,6 +307,17 @@ class MstGame(Game):
         table = self.graph._scaled_cost_table() if self._table is None else self._table
         return table, self.graph.denominator
 
+    def seed_coalitions(self) -> list[int]:
+        """The singletons and every N \\ {k}, ascending. The 2-approximation
+        prices each c(N \\ {k}), and those rows carry much of the dual
+        support at the almost-core optimum, so row generation starts from
+        them instead of scanning for them. The empty set (N \\ {1} at
+        n = 1) and N are left out, and at n = 2 each N \\ {k} is a
+        singleton, kept once."""
+        full = (1 << self.n) - 1
+        singletons = {1 << i for i in range(self.n)}
+        return sorted((singletons | {full ^ bit for bit in singletons}) - {0, full})
+
 
 def granot_huberman(graph: GraphInstance) -> tuple[Fraction, ...]:
     """Charge each agent the weight of its connecting edge in one Prim run.

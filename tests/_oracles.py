@@ -79,6 +79,15 @@ def coalition_sum(shares, bits) -> Fraction:
     return total
 
 
+def coalition_sums(shares) -> list[Fraction]:
+    """x(S) for every bitmask S: x(S minus its lowest agent) plus that agent's share."""
+    sums = [Fraction(0)] * (1 << len(shares))
+    for bits in range(1, len(sums)):
+        low = bits & -bits
+        sums[bits] = sums[bits ^ low] + shares[low.bit_length() - 1]
+    return sums
+
+
 def almost_core_member(game, shares) -> bool:
     """Direct scan of every proper nonempty coalition constraint."""
     full = (1 << game.n) - 1
@@ -134,30 +143,43 @@ def almost_core_problem(game, require_nonneg=False):
 
 
 def reference_row_generation(game, require_nonneg=False):
-    """The almost-core program by row generation that solves every round,
-    the first included: the singleton rows, then after each solve the n
-    coalitions of largest excess x(S) - c(S) > 0, ties to the smaller
-    bitmask, scanned in Fraction arithmetic, until a solve's point violates
-    no proper coalition. Returns (the last solution, its problem)."""
+    """The almost-core program by :func:`reference_coalition_program` from
+    the game's seed rows. Returns (the last solution, its problem)."""
+    n = game.n
+    return reference_coalition_program(game, [1] * n, [0] * n if require_nonneg else None)
+
+
+def reference_coalition_program(game, objective, bounds=None, slack=None, grand=None, seed=None):
+    """max objective . (x, y) subject to x(S) - y[slack] <= c(S) for every
+    proper coalition S, plus grand * (x(N) - c(N)) <= 0 when ``grand`` is
+    1 or -1, by row generation that solves every round, the first
+    included: the rows of ``seed`` (default ``game.seed_coalitions()``)
+    and the grand row, then after each solve the n coalitions of largest
+    excess x(S) - y[slack] - c(S) > 0, ties to the smaller bitmask,
+    scanned in Fraction arithmetic, until a solve's point violates no
+    proper coalition. Returns (the last solution, its problem)."""
     from allocore.lp import LpProblem, solve
 
     n = game.n
     costs = game.table()
-    problem = LpProblem(n, [1] * n, [0] * n if require_nonneg else None)
+    problem = LpProblem(len(objective), objective, bounds)
 
     def add(bits):
-        problem.add({i: 1 for i in range(n) if bits >> i & 1}, costs[bits])
+        row = {i: 1 for i in range(n) if bits >> i & 1}
+        if slack is not None:
+            row[slack] = -1
+        problem.add(row, costs[bits])
 
-    for i in range(n):
-        add(1 << i)
+    for bits in game.seed_coalitions() if seed is None else seed:
+        add(bits)
+    if grand is not None:
+        problem.add({i: grand for i in range(n)}, grand * costs[-1])
     while True:
         solution = solve(problem)
         assert solution.is_optimal
-        # x(S) = x(S minus its lowest agent) + that agent's share
-        sums = [Fraction(0)] * len(costs)
-        for bits in range(1, len(costs)):
-            low = bits & -bits
-            sums[bits] = sums[bits ^ low] + solution.point[low.bit_length() - 1]
+        sums = coalition_sums(solution.point[:n])
+        if slack is not None:
+            sums = [v - solution.point[slack] for v in sums]
         excess = {bits: sums[bits] - costs[bits] for bits in range(1, len(costs) - 1)}
         violated = sorted((b for b, e in excess.items() if e > 0), key=lambda b: (-excess[b], b))
         if not violated:

@@ -17,7 +17,7 @@ from allocore.generators import (
     random_last_monotone_game,
 )
 from allocore.lp import LpStatus, solve, verify_point
-from allocore.mstgame import MstGame, granot_huberman
+from allocore.mstgame import GraphInstance, MstGame, granot_huberman
 from allocore.relaxations import (
     SeparationResult,
     almost_core_optimum,
@@ -41,9 +41,11 @@ from _oracles import (
     almost_core_nonneg_member,
     almost_core_problem,
     coalition_sum,
+    coalition_sums,
     dense_coalition_program,
     first_failing_pair,
     min_stable_profit,
+    reference_coalition_program,
     reference_lift,
     reference_row_generation,
     subsidy_problem,
@@ -696,8 +698,9 @@ class TestRowGeneration:
         assert solves == [6]
 
     def test_almost_core_programs_solve_once_less_than_they_scan(self, monkeypatch):
-        # the first scan reads the seed optimum x_i = c({i}) instead of solving
-        # for it; the core and least-core programs keep their first solve
+        # the first scan reads the singleton seed's optimum x_i = c({i})
+        # instead of solving for it; the core and least-core programs, and
+        # every program of an MstGame (seeded with N \ {k} too), keep it
         counts = dict.fromkeys(("solve", "scan"), 0)
 
         def counted(name, inner):
@@ -719,7 +722,9 @@ class TestRowGeneration:
             for nonneg in (False, True):
                 counts.update(solve=0, scan=0)
                 almost_core_optimum(game, nonneg)
-                if counts["scan"] > 1:  # the first scan found a violation
+                if isinstance(game, MstGame):
+                    assert counts["solve"] == counts["scan"] >= 1, (game.table(), nonneg)
+                elif counts["scan"] > 1:  # the first scan found a violation
                     assert counts["solve"] == counts["scan"] - 1, (game.table(), nonneg)
                     skipped += 1
                 else:
@@ -732,8 +737,9 @@ class TestRowGeneration:
         assert skipped and kept
 
     def test_matches_a_loop_that_solves_every_round(self, monkeypatch):
-        # the seed optimum is unique, so skipping its solve changes no added
-        # row, no later solve and no output: same solution, same rows in order
+        # both loops start from the game's seed rows; a singleton seed's
+        # optimum is unique, so skipping its solve changes no added row, no
+        # later solve and no output: same solution, same rows in order
         problems = []
 
         def capturing(problem):
@@ -785,6 +791,96 @@ class TestRowGeneration:
             match=r"^the almost-core program came back LpStatus\.INFEASIBLE over its rows$",
         ):
             almost_core_optimum(NegativeSingleton(), require_nonneg=True)
+
+
+class TestSeedCoalitions:
+    """A game names the coalitions whose rows start row generation: the
+    singletons by default, and for a spanning-tree game every N \\ {k} too.
+    The seed may change which optimal vertex comes back, never the value."""
+
+    def test_the_spanning_tree_seed_changes_no_value(self):
+        rng = Random(101)
+        programs = differ = 0
+        for n in range(3, 12):
+            singletons = [1 << i for i in range(n)]
+            extra = {"core": {"grand": 1}, "least-core": {"slack": n, "grand": -1}}
+            for model in WEIGHT_MODELS:
+                graph = random_graph(rng, n, model)
+                for game in (MstGame(graph), MstGame(graph, monotonized=True)):
+                    full, c_grand = (1 << n) - 1, game.grand_cost()
+                    for name, (dense, run) in _programs(game).items():
+                        value, point = run()
+                        want, _ = reference_coalition_program(
+                            game, dense.objective, dense.lower_bounds,
+                            seed=singletons, **extra.get(name, {}),
+                        )
+                        assert value == want.value, (name, n, model)
+                        if n <= 6:
+                            assert value == solve(dense).value, (name, n, model)
+                        assert verify_point(dense, point).feasible, (name, n, model)
+                        # the brute-force stability scan, without the LP code
+                        x, off = point[:n], point[n] if name == "least-core" else 0
+                        sums, costs = coalition_sums(x), game.table()
+                        assert all(
+                            sums[bits] - off <= costs[bits] for bits in range(1, full)
+                        ), (name, n, model)
+                        if name == "core":
+                            assert sum(x) <= c_grand
+                        elif name == "least-core":
+                            assert sum(x) == c_grand and off >= 0
+                        elif name.endswith("True"):
+                            assert min(x) >= 0
+                        # the singleton-seeded point, with the least core's
+                        # agent 1 lowered to x(N) = c(N) as least_core_eps does
+                        ref = list(want.point)
+                        if name == "least-core":
+                            ref[0] -= sum(ref[:n]) - c_grand
+                        programs += 1
+                        differ += tuple(ref) != tuple(point)
+        assert programs == 9 * 4 * 2 * 4 and 0 < differ < programs
+
+    def test_the_default_seed_is_the_singletons(self):
+        assert ExplicitGame(0, [0]).seed_coalitions() == []
+        assert ExplicitGame(1, [0, 5]).seed_coalitions() == []  # {1} is N
+        assert ExplicitGame(3, range(8)).seed_coalitions() == [1, 2, 4]
+
+    def test_the_spanning_tree_seed(self):
+        rng = Random(102)
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            seed = MstGame(random_graph(rng, n, "uniform")).seed_coalitions()
+            assert seed == sorted(set(seed)) and 0 not in seed and full not in seed, n
+            want = {1 << i for i in range(n)} | {full ^ (1 << i) for i in range(n)}
+            assert set(seed) == want - {0, full}, n
+        # n = 1: N \ {1} is empty and {1} is N; n = 2: each N \ {k} is a singleton
+        one = MstGame(GraphInstance(1, [[0, 3], [3, 0]]))
+        assert one.seed_coalitions() == []
+        assert MstGame(random_graph(rng, 2, "uniform")).seed_coalitions() == [1, 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_seed_row_is_empty_or_repeated(self, monkeypatch, n):
+        # a seed holding the empty set would add the row x(empty) <= 0
+        problems = []
+
+        def capturing(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(allocore.relaxations, "solve", capturing)
+        game = MstGame(random_graph(Random(103), n, "uniform"))
+        assert core_optimum(game, [1] * n).value == game.grand_cost()
+        rows = [_row(con) for con in problems[0].constraints]
+        assert all(coef for coef, _, _ in rows) and len(rows) == len({str(r) for r in rows})
+        assert len(rows) == len(game.seed_coalitions()) + 1  # and the grand row
+
+    @pytest.mark.parametrize("bad", [0, 7])
+    def test_a_seed_outside_the_proper_coalitions_is_a_bug(self, bad):
+        class BadSeed(ExplicitGame):
+            def seed_coalitions(self):
+                return [1, 2, 4, bad]
+
+        with pytest.raises(AssertionError, match="a seed row is not a proper coalition"):
+            almost_core_optimum(BadSeed(3, range(8)))
 
 
 class TestDerivedFromCoreSolve:
@@ -842,13 +938,13 @@ class TestDerivedFromCoreSolve:
     def test_a_report_keeps_x_a_as_the_nonneg_witness(self):
         # x_a >= 0 here, so the report returns it; the x >= 0 program's own
         # vertex differs but has the same value
-        rng = Random(275)
-        game = MstGame(random_graph(rng, rng.randint(2, 8), "nearpath"))
+        rng = Random(144)
+        game = MstGame(random_graph(rng, rng.randint(2, 8), "uniform"))
         r = full_report(game)
         value, x = almost_core_optimum(game, True)
-        assert game.n == 8 and r.ac_opt_nonneg == r.ac_opt == value == 18
-        assert r.ac_opt_nonneg_allocation == r.ac_opt_allocation == (3, 6, 2, 0, 1, 3, 3, 0)
-        assert x == (3, 6, 2, 0, 1, 3, 2, 1)
+        assert game.n == 5 and r.ac_opt_nonneg == r.ac_opt == value == 10
+        assert r.ac_opt_nonneg_allocation == r.ac_opt_allocation == (0, 7, 0, 1, 2)
+        assert x == (0, 6, 1, 1, 2)
         assert almost_core_nonneg_member(game, x) and almost_core_nonneg_member(game, r.ac_opt_allocation)
 
     def test_no_agents(self):
