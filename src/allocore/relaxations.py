@@ -27,14 +27,19 @@ relations that compare separate programs with the core solve (core
 emptiness against the almost-core optimum, and the least-core value
 against the weak epsilon).
 
-``full_report`` skips two programs when it already holds their optimum.
-The nonnegative almost-core program is the almost-core program plus
-x >= 0, so an almost-core maximizer x_a >= 0 is feasible there and its
-value bounds that program: x_a is its optimum. The least core has the
-bound eps >= 0, and a nonempty core's witness is budget balanced and
-meets every row with eps = 0, so (0, witness) is its optimum. A report
-thus always solves the core and the almost-core program, and the other
-two only on a negative share of x_a or on an empty core.
+``full_report`` skips the programs whose optimum it already holds. The
+almost-core program is the core program without the row x(N) <= c(N).
+On an empty core m < c(N), so that row is slack at x_m, and dropping a
+slack row keeps an optimum optimal: a = m with maximizer x_m (the core
+solve's duals put 0 on the grand row, so they certify a too). The
+nonnegative almost-core program is the almost-core program plus x >= 0,
+so an almost-core maximizer x_a >= 0 is feasible there and its value
+bounds that program: x_a is its optimum. The least core has the bound
+eps >= 0, and a nonempty core's witness is budget balanced and meets
+every row with eps = 0, so (0, witness) is its optimum. A report thus
+always solves the core program, the almost-core program only on a
+nonempty core, the least core only on an empty one, and the nonnegative
+program only on a negative share of x_a.
 
 The least core's grand row is x(N) >= c(N), so every program has <= rows
 only and a checked dual certificate. Lowering a share keeps every proper
@@ -57,15 +62,11 @@ and the n most violated rows, ties to the smaller bitmask, join the
 working set, whose exact optimum is the next point. When the scan finds
 none, that point is feasible for the full program and at least its
 optimum (the working set is a relaxation), so it is the exact optimum.
-With the singleton seed, the first point needs no solve in the
-almost-core programs (no slack, no grand row, a positive objective):
-x_i <= c({i}) has the one optimum x_i = c({i}). Those seed rows are
-solved only when that point violates no coalition, so every answer
-carries checked duals. Every other seed is solved every round. On three
-random rational-model spanning-tree games per size, the nonnegative
-almost-core program took 2 to 6 scans, one solve each, and ended with 19
-to 30 of its 510 rows at n = 9, 32 to 60 of 4094 at n = 12 and 38 to 98
-of 16382 at n = 14.
+Every round solves the working set and then scans, so every answer
+carries checked duals. On three random rational-model spanning-tree
+games per size, the nonnegative almost-core program took 2 to 6 scans,
+one solve each, and ended with 19 to 30 of its 510 rows at n = 9, 32 to
+60 of 4094 at n = 12 and 38 to 98 of 16382 at n = 14.
 """
 
 from __future__ import annotations
@@ -113,10 +114,9 @@ def _solve_coalitions(
     ``slack`` names the y variable taken off each proper row.
 
     Solved by row generation (see the module docstring) from the rows of
-    ``game.seed_coalitions()``; when those are the singletons, the
-    almost-core programs' first point x_i = c({i}) is read from the table.
-    Every program here is feasible and its seed rows bound it, so a working
-    set that does not solve to OPTIMAL is a bug and raises AssertionError.
+    ``game.seed_coalitions()``, one solve per scan. Every program here is
+    feasible and its seed rows bound it, so a working set that does not
+    solve to OPTIMAL is a bug and raises AssertionError.
     """
     check_enum_limit(game.n, f"building {what}")
     n = game.n
@@ -139,21 +139,10 @@ def _solve_coalitions(
     if grand is not None:
         problem.add(dict.fromkeys(range(n), grand), grand * game.cost_bits(full))
 
-    def solved() -> LpSolution:
+    while True:
         solution = solve(problem)
         _ensure(solution.is_optimal, f"{what} came back {solution.status} over its rows")
-        return solution
-
-    seeded = (
-        slack is None and grand is None and n >= 2 and min(problem.objective) > 0
-        and working == {1 << i for i in range(n)}
-    )
-    while True:
-        if seeded:
-            point, scale = [table[1 << i] for i in range(n)], d
-        else:
-            solution = solved()
-            point, scale = over_common_denominator(solution.point, d)
+        point, scale = over_common_denominator(solution.point, d)
         off = 0 if slack is None else point[slack]
         factor = scale // d
         excess = [a - off - factor * c for a, c in zip(subset_sums(point[:n]), table)]
@@ -161,8 +150,7 @@ def _solve_coalitions(
             n, [b for b in range(1, full) if excess[b] > 0], key=excess.__getitem__
         )
         if not violated:
-            return solved() if seeded else solution
-        seeded = False
+            return solution
         # every point satisfies its rows, so a scan that disagrees would loop forever
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
@@ -328,20 +316,25 @@ def full_report(game: Game) -> RelaxationReport:
     One certified core solve gives the core witness, gamma, eps_m, the cost
     of stability, the weak epsilon and the minimum subsidy, so the
     identities among them hold by algebra (module docstring) and are not
-    re-checked here. The almost-core optimum x_a comes from its own
-    program. The nonnegative optimum is x_a when x_a >= 0, and the least
-    core is (0, core witness) on a nonempty core; otherwise each comes
-    from its own program (module docstring). Those are checked against
-    the core solve: core emptiness against the almost-core optimum, and
-    eps_w <= eps_s <= (n-1) eps_w. On an empty core, gamma must be
-    defined (c(N) > 0), which only negative costs can break.
+    re-checked here. On an empty core the almost-core optimum is (m, x_m)
+    from that solve, and the least core comes from its own program; on a
+    nonempty core the almost-core optimum x_a comes from its own program,
+    and the least core is (0, core witness). The nonnegative optimum is
+    x_a when x_a >= 0, and its own program's otherwise (module docstring).
+    What separate programs return is checked against the core solve: core
+    emptiness against the almost-core optimum (a separate program only on
+    a nonempty core), and eps_w <= eps_s <= (n-1) eps_w. On an empty core,
+    gamma must be defined (c(N) > 0), which only negative costs can break.
     """
     n = game.n
     c_grand = game.grand_cost()
     shareable = _max_shareable(game)
     has_core = shareable.core is not None
     mult, gamma = shareable.mult, shareable.gamma
-    ac_val, ac_x = almost_core_optimum(game, False)
+    if has_core:
+        ac_val, ac_x = almost_core_optimum(game, False)
+    else:  # x(N) <= c(N) is slack at x_m, so dropping it keeps x_m optimal
+        ac_val, ac_x = c_grand - shareable.cost_of_stability, shareable.maximizer
     acn_val, acn_x = (ac_val, ac_x) if min(ac_x) >= 0 else almost_core_optimum(game, True)
     eps_s, eps_s_x = (_ZERO, shareable.core) if has_core else least_core_eps(game)
     eps_w, eps_w_x = shareable.weak_core_eps

@@ -692,15 +692,14 @@ class TestRowGeneration:
         assert almost_core_optimum(additive) == (7, (1, 2, 4))
         assert solves == [3] and solutions[-1].duals == (1, 1, 1)
         solves.clear()
-        # every pair costs 1: the singleton optimum (1, 1, 1), read from the
-        # table without a solve, violates all three pair rows
+        # every pair costs 1: the singleton optimum (1, 1, 1) violates all
+        # three pair rows, which join the seed rows for the second solve
         assert almost_core_optimum(ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2]))[0] == Fraction(3, 2)
-        assert solves == [6]
+        assert solves == [3, 6]
 
-    def test_almost_core_programs_solve_once_less_than_they_scan(self, monkeypatch):
-        # the first scan reads the singleton seed's optimum x_i = c({i})
-        # instead of solving for it; the core and least-core programs, and
-        # every program of an MstGame (seeded with N \ {k} too), keep it
+    def test_every_program_solves_once_per_scan(self, monkeypatch):
+        # each round solves the working set and then scans its point, in
+        # every program of every game
         counts = dict.fromkeys(("solve", "scan"), 0)
 
         def counted(name, inner):
@@ -717,29 +716,23 @@ class TestRowGeneration:
         for n in range(2, 7):
             games += [random_explicit_game(rng, n), random_empty_core_game(rng, n)]
         games += [MstGame(random_graph(rng, n, model)) for n in (3, 6, 8) for model in WEIGHT_MODELS]
-        skipped = kept = 0
+        grown = single = 0
         for game in games:
             for nonneg in (False, True):
                 counts.update(solve=0, scan=0)
                 almost_core_optimum(game, nonneg)
-                if isinstance(game, MstGame):
-                    assert counts["solve"] == counts["scan"] >= 1, (game.table(), nonneg)
-                elif counts["scan"] > 1:  # the first scan found a violation
-                    assert counts["solve"] == counts["scan"] - 1, (game.table(), nonneg)
-                    skipped += 1
-                else:
-                    assert counts["solve"] == counts["scan"] == 1, (game.table(), nonneg)
-                    kept += 1
+                assert counts["solve"] == counts["scan"] >= 1, (game.table(), nonneg)
+                grown += counts["scan"] > 1  # the first scan found a violation
+                single += counts["scan"] == 1
             for run in (lambda: core_optimum(game, [1] * game.n), lambda: least_core_eps(game)):
                 counts.update(solve=0, scan=0)
                 run()
                 assert counts["solve"] == counts["scan"] >= 1, game.table()
-        assert skipped and kept
+        assert grown and single
 
     def test_matches_a_loop_that_solves_every_round(self, monkeypatch):
-        # both loops start from the game's seed rows; a singleton seed's
-        # optimum is unique, so skipping its solve changes no added row, no
-        # later solve and no output: same solution, same rows in order
+        # both loops start from the game's seed rows and solve every round,
+        # so they add the same rows and return the same solution
         problems = []
 
         def capturing(problem):
@@ -917,8 +910,12 @@ class TestDerivedFromCoreSolve:
             assert almost_core_member(game, [v - eps for v in x])
             assert min(t) >= 0 and sum(t) == delta and sum(xs) == c_grand
             assert almost_core_member(game, [a - b for a, b in zip(xs, t)])
-            # full_report reuses x_a when x_a >= 0 and the core witness on a
-            # nonempty core; the standalone programs must reach the same values
+            # full_report reuses x_m as x_a on an empty core, x_a when x_a >= 0
+            # and the core witness on a nonempty core; the standalone programs
+            # must reach the same values
+            ac, ac_x = r.ac_opt, r.ac_opt_allocation
+            assert ac == almost_core_optimum(game)[0]
+            assert almost_core_member(game, ac_x) and sum(ac_x) == ac
             acn, acn_x = r.ac_opt_nonneg, r.ac_opt_nonneg_allocation
             assert acn == almost_core_optimum(game, True)[0]
             assert almost_core_nonneg_member(game, acn_x) and sum(acn_x) == acn
@@ -972,6 +969,7 @@ class TestDerivedFromCoreSolve:
         rng = Random(97)
         games = [random_empty_core_game(rng, n) for n in range(2, 7)]
         games += [MstGame(random_graph(rng, 6, model)) for model in WEIGHT_MODELS]
+        empty = 0
         for game in games:
             n = game.n
             problems.clear()
@@ -987,15 +985,23 @@ class TestDerivedFromCoreSolve:
                 weighted += y * game.cost_bits(bits)
             assert cover == [1] * n
             assert weighted == solution.value
+            if solution.value < game.grand_cost():
+                # x(N) <= c(N) is slack at an empty core's optimum, so the
+                # proper rows alone certify m as the almost-core optimum too
+                (grand,) = (y for con, y in zip(rows, solution.duals) if len(con.coef) == n)
+                assert grand == 0
+                empty += 1
+        assert empty == 5
 
     AC, CORE, LEAST = "the almost-core program", "the core program", "the least-core program"
 
     @pytest.mark.parametrize(
         "make, negative_share, programs",
         [
-            # empty core, x_a >= 0: x_a is also the nonnegative optimum
-            (lambda tq: random_empty_core_game(Random(98), 5), False, [AC, CORE, LEAST]),
-            (lambda tq: random_empty_core_game(Random(98), 3), True, [AC, AC, CORE, LEAST]),
+            # empty core: the core solve's x_m is x_a, and x_m >= 0 the nonnegative optimum
+            (lambda tq: random_empty_core_game(Random(98), 5), False, [CORE, LEAST]),
+            # the one almost-core run is the x >= 0 program
+            (lambda tq: random_empty_core_game(Random(98), 3), True, [AC, CORE, LEAST]),
             # nonempty core: its witness is the least core's optimum (eps = 0)
             (lambda tq: MstGame(tq), False, [AC, CORE]),
         ],
