@@ -12,40 +12,34 @@ separation to core separation.
 For games with empty core the relaxation optima are linked by exact
 identities: the minimum subsidy equals (1 - gamma*) c(N), equals
 eps_m*/(1 + eps_m*) c(N), equals the cost of stability, equals n * eps_w*.
-All five are functions of one number, m = max x(N) over all stability
-constraints, so they come from one core solve and the identities hold by
-algebra. With x_m the core solve's maximizer, the weak epsilon is
-(c(N) - m)/n with witness x_m + eps_w * 1, and the minimum subsidy is
-c(N) - m with witness (x_m + t, t), t putting the whole subsidy on agent
-1: both are feasible since x_m(S) <= c(S), and optimal since lowering a
-feasible point by its epsilons or subsidies gives a point of the core
-program. The core optimum m is exact twice over: the final scan shows its
-point feasible for every coalition, and its dual certificate (a balanced
-cover of N, checked by ``solve``) shows no point of the working set does
-better. ``full_report`` does not re-check these identities; it checks the
-relations that compare separate programs with the core solve (core
-emptiness against the almost-core optimum, and the least-core value
-against the weak epsilon).
+All five are functions of m = max x(N) over all stability constraints,
+so the identities hold by algebra, and m comes from the almost-core
+program, the core program without x(N) <= c(N): with a its optimum and
+x_a its maximizer, m = min(a, c(N)), and the core is nonempty exactly
+when a reaches c(N) (the paper's criterion). The core maximizer x_m is
+x_a lowered to total m by ``_lower_to``: the excess comes off the shares
+from agent 1 upward, pushing none below 0, and any remainder (only
+c(N) < 0 leaves one) off agent 1. Lowering a share keeps every proper
+row, so x_m is feasible, and a core element if a >= c(N), nonnegative
+when x_a is and c(N) >= 0. At n <= 1 the almost-core program is
+undefined and the core program gives m and x_m. The weak epsilon is (c(N) - m)/n with witness
+x_m + eps_w * 1, and the minimum subsidy c(N) - m with witness
+(x_m + t, t), t the whole subsidy on agent 1: feasible since
+x_m(S) <= c(S), optimal since lowering a feasible point by its epsilons
+or subsidies gives a point of the core program. The almost-core optimum
+is certified: the final scan shows its point feasible for every row, and
+``solve`` checks its duals, a balanced cover of N by proper coalitions.
 
-``full_report`` skips the programs whose optimum it already holds. The
-almost-core program is the core program without the row x(N) <= c(N).
-On an empty core m < c(N), so that row is slack at x_m, and dropping a
-slack row keeps an optimum optimal: a = m with maximizer x_m (the core
-solve's duals put 0 on the grand row, so they certify a too). The
-nonnegative almost-core program is the almost-core program plus x >= 0,
-so an almost-core maximizer x_a >= 0 is feasible there and its value
-bounds that program: x_a is its optimum. The least core has the bound
-eps >= 0, and a nonempty core's witness is budget balanced and meets
-every row with eps = 0, so (0, witness) is its optimum. A report thus
-always solves the core program, the almost-core program only on a
-nonempty core, the least core only on an empty one, and the nonnegative
-program only on a negative share of x_a.
-
-The least core's grand row is x(N) >= c(N), so every program has <= rows
-only and a checked dual certificate. Lowering a share keeps every proper
-row, so min eps is unchanged, and lowering agent 1 by x(N) - c(N) makes
-the witness budget balanced (if eps* > 0, complementary slackness already
-makes the grand row tight at every optimum).
+``full_report`` skips the programs whose optimum it already holds. An
+almost-core maximizer x_a >= 0 meets the bounds of the nonnegative
+program, so it is that program's optimum. The least core has the bound
+eps >= 0, so on a nonempty core (0, core witness) is its optimum;
+otherwise it is solved with the grand row x(N) >= c(N), so every program
+has <= rows only and a checked dual certificate, and ``_lower_to`` makes
+its witness budget balanced without changing eps. A report thus solves
+the almost-core program, the least core only on an empty core, and the
+nonnegative program only on a negative share of x_a; it re-checks only
+the least-core value against the weak epsilon.
 
 Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
@@ -187,10 +181,22 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
     return _solve_coalitions(game, objective, what="the core program", grand=1)
 
 
-class _Shareable(NamedTuple):
-    """What follows from m = max x(N) over every stability constraint, N
-    included, and its maximizer x_m."""
+def _lower_to(x: Sequence[Fraction], total: Fraction) -> tuple[Fraction, ...]:
+    """x lowered to total ``total``: the excess comes off the shares from agent 1
+    upward, pushing none below 0, and any remainder off agent 1."""
+    over, lowered = sum(x, _ZERO) - total, []
+    for v in x:
+        cut = min(over, max(v, _ZERO))
+        lowered.append(v - cut)
+        over -= cut
+    return tuple(v - over if i == 0 else v for i, v in enumerate(lowered))
 
+
+class _Shareable(NamedTuple):
+    """What follows from m = min(a, c(N)) = max x(N) over every stability
+    constraint, N included, and its maximizer x_m (module docstring)."""
+
+    almost_core: tuple[Fraction, tuple[Fraction, ...]]  # (a, x_a); (m, x_m) at n <= 1
     maximizer: tuple[Fraction, ...]
     core: tuple[Fraction, ...] | None  # the maximizer when m = c(N)
     # c(N)/m - 1, the maximizer scaled by c(N)/m
@@ -204,9 +210,11 @@ class _Shareable(NamedTuple):
 
 def _max_shareable(game: Game) -> _Shareable:
     n = game.n
-    solution = core_optimum(game, [_ONE] * n)
-    m, x = solution.value, solution.point
     c_grand = game.grand_cost()
+    # the almost-core program is undefined at n <= 1: there (m, x_m) is the core (value, point)
+    a, x_a = almost_core_optimum(game) if n > 1 else core_optimum(game, [_ONE] * n)[1:3]
+    m = min(a, c_grand)
+    x = _lower_to(x_a, m)
     if m == c_grand:
         mult = _ZERO, x
     elif m == 0:
@@ -219,7 +227,7 @@ def _max_shareable(game: Game) -> _Shareable:
     eps_w = cos / n if n else cos  # no agents: c(N) = m = 0
     t = tuple(cos if i == 0 else _ZERO for i in range(n))
     return _Shareable(
-        x, x if m == c_grand else None, mult, gamma, cos,
+        (a, x_a), x, x if m == c_grand else None, mult, gamma, cos,
         (eps_w, tuple(v + eps_w for v in x)), (cos, (tuple(v + s for v, s in zip(x, t)), t)),
     )
 
@@ -227,8 +235,8 @@ def _max_shareable(game: Game) -> _Shareable:
 def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Decide core nonemptiness; on success return a budget-balanced stable witness.
 
-    The core is nonempty exactly when maximizing x(N) over all stability
-    constraints (N included) attains c(N).
+    The core is nonempty exactly when the almost-core optimum reaches c(N),
+    and x_a lowered to total c(N) is then a core element (module docstring).
     """
     core = _max_shareable(game).core
     return core is not None, core
@@ -237,20 +245,18 @@ def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
 def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest uniform additive relaxation (the least-core value) and a witness:
     min eps >= 0 with x(S) - eps <= c(S) for proper S and x(N) = c(N),
-    solved with x(N) >= c(N) and agent 1 lowered to x(N) = c(N)."""
+    solved with x(N) >= c(N) and x lowered to x(N) = c(N) by ``_lower_to``."""
     n = game.n
     solution = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="the least-core program",
         slack=n, grand=-1,
     )
-    x = solution.point[:n]
-    over = sum(x, _ZERO) - game.grand_cost()
-    return -solution.value, tuple(v - over if i == 0 else v for i, v in enumerate(x))
+    return -solution.value, _lower_to(solution.point[:n], game.grand_cost())
 
 
 def weak_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest per-capita additive relaxation, eps scaled by coalition size,
-    and a witness: (c(N) - m)/n from the core solve (module docstring)."""
+    and a witness: (c(N) - m)/n, with m = min(a, c(N)) (module docstring)."""
     return _max_shareable(game).weak_core_eps
 
 
@@ -275,7 +281,7 @@ def extended_core_delta(
     """Minimum total subsidy t(N) restoring stability, with a witness (x, t).
 
     The witness satisfies t >= 0, x(N) = c(N), and (x - t)(S) <= c(S) for
-    every proper coalition. The minimum is c(N) - m from the core solve, all
+    every proper coalition. The minimum is c(N) - m, m = min(a, c(N)), all
     of it on agent 1 (module docstring).
     """
     return _max_shareable(game).extended_core_delta
@@ -313,34 +319,27 @@ class RelaxationReport(NamedTuple):
 def full_report(game: Game) -> RelaxationReport:
     """Compute all relaxation quantities and check the relations between programs.
 
-    One certified core solve gives the core witness, gamma, eps_m, the cost
-    of stability, the weak epsilon and the minimum subsidy, so the
-    identities among them hold by algebra (module docstring) and are not
-    re-checked here. On an empty core the almost-core optimum is (m, x_m)
-    from that solve, and the least core comes from its own program; on a
-    nonempty core the almost-core optimum x_a comes from its own program,
-    and the least core is (0, core witness). The nonnegative optimum is
-    x_a when x_a >= 0, and its own program's otherwise (module docstring).
-    What separate programs return is checked against the core solve: core
-    emptiness against the almost-core optimum (a separate program only on
-    a nonempty core), and eps_w <= eps_s <= (n-1) eps_w. On an empty core,
-    gamma must be defined (c(N) > 0), which only negative costs can break.
+    One certified almost-core solve (a, x_a) gives the core and its witness,
+    gamma, eps_m, the cost of stability, the weak epsilon and the minimum
+    subsidy (module docstring). The least core and the nonnegative
+    almost-core optimum run their own programs only when the report does
+    not hold them, so a report runs 1 to 3 programs. eps_w <= eps_s <=
+    (n-1) eps_w is checked; on an empty core, gamma must be defined
+    (c(N) > 0), which only negative costs can break. Raises
+    PreconditionError at n <= 1, where the almost core is unbounded.
     """
+    _require_multi_agent(game, "almost-core maximization")
     n = game.n
     c_grand = game.grand_cost()
     shareable = _max_shareable(game)
     has_core = shareable.core is not None
     mult, gamma = shareable.mult, shareable.gamma
-    if has_core:
-        ac_val, ac_x = almost_core_optimum(game, False)
-    else:  # x(N) <= c(N) is slack at x_m, so dropping it keeps x_m optimal
-        ac_val, ac_x = c_grand - shareable.cost_of_stability, shareable.maximizer
+    ac_val, ac_x = shareable.almost_core
     acn_val, acn_x = (ac_val, ac_x) if min(ac_x) >= 0 else almost_core_optimum(game, True)
     eps_s, eps_s_x = (_ZERO, shareable.core) if has_core else least_core_eps(game)
     eps_w, eps_w_x = shareable.weak_core_eps
     delta_ec, (ec_x, ec_t) = shareable.extended_core_delta
 
-    _ensure(has_core == (ac_val >= c_grand), "core emptiness disagrees with the almost-core optimum")
     _ensure(eps_w <= eps_s, "weak epsilon exceeded the strong epsilon")
     _ensure((n - 1) * eps_w >= eps_s, "strong epsilon exceeded (n-1) times the weak epsilon")
     if not has_core:

@@ -520,6 +520,22 @@ class TestCliAnalyze:
         assert report["eps_weak"] == "1/6"
         assert "ac_opt_nonneg" not in report
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": "explicit", "n": 1, "costs": {"1": "7"}}',
+            '{"format": "mst", "n": 1, "edges": [[0, 1, "3"]]}',
+        ],
+        ids=["explicit", "mst"],
+    )
+    def test_one_agent_is_a_precondition_failure(self, write, capsys, text):
+        code, out, err = run_cli(capsys, "analyze", write("g.json", text))
+        assert (code, out) == (4, "")
+        assert err == (
+            "precondition failed: almost-core maximization is unbounded for a single agent: "
+            "the almost core of a one-agent game has no constraints\n"
+        )
+
     def test_nonneg_flag_adds_variant(self, write, capsys, gap5):
         path = write("g.json", serialize(mst_instance_from_graph(gap5)))
         code, out, _ = run_cli(capsys, "analyze", path, "--nonneg")

@@ -114,13 +114,15 @@ class TestCoreNonempty:
         ok, x = core_nonempty(ExplicitGame(1, [0, 7]))
         assert ok and tuple(x) == (7,)
 
-    def test_matches_almost_core_criterion(self):
+    def test_matches_the_dense_core_program(self):
+        # core_nonempty reads the almost-core optimum; the oracle is the
+        # dense core program, every proper row plus x(N) <= c(N)
         rng = Random(21)
         for _ in range(25):
             game = random_explicit_game(rng, rng.randint(2, 5))
             ok, _ = core_nonempty(game)
-            value, _ = almost_core_optimum(game)
-            assert ok == (value >= game.grand_cost())
+            m = solve(dense_coalition_program(game, [1] * game.n, grand=1)).value
+            assert ok == (m == game.grand_cost())
 
 
 class TestEpsilonRelaxations:
@@ -241,7 +243,7 @@ class TestFullReport:
         assert r.gamma_approx is None
         assert r.ac_opt_nonneg == 5
 
-    def test_one_core_solve(self, monkeypatch, unbalanced3):
+    def test_no_core_solve(self, monkeypatch, unbalanced3):
         calls = []
 
         def counting(game, objective):
@@ -250,7 +252,13 @@ class TestFullReport:
 
         monkeypatch.setattr(allocore.relaxations, "core_optimum", counting)
         full_report(unbalanced3)
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("game", [ExplicitGame(0, [0]), ExplicitGame(1, [0, 7])], ids=["n0", "n1"])
+    def test_fewer_than_two_agents_rejected(self, game):
+        # the almost core is unbounded there, although the core program is not
+        with pytest.raises(PreconditionError, match="almost-core maximization is unbounded"):
+            full_report(game)
 
     @staticmethod
     def _assert_matches_standalone(game):
@@ -581,7 +589,7 @@ def _programs(game):
 
 def _derived_programs(game):
     """The weak epsilon and subsidy programs, whose optima are derived from
-    the core solve, as (the dense problem, a call that returns the derived
+    m = min(a, c(N)), as (the dense problem, a call that returns the derived
     optimum in the problem's max form and the full point)."""
 
     def weak():
@@ -877,8 +885,9 @@ class TestSeedCoalitions:
 
 
 class TestDerivedFromCoreSolve:
-    """The weak epsilon and the minimum subsidy come from m = max x(N) of the
-    certified core solve; the dense programs are their oracles."""
+    """The core, the weak epsilon and the minimum subsidy come from
+    m = min(a, c(N)), a the certified almost-core optimum; the dense
+    programs are their oracles."""
 
     @staticmethod
     def _sweep_games():
@@ -910,12 +919,23 @@ class TestDerivedFromCoreSolve:
             assert almost_core_member(game, [v - eps for v in x])
             assert min(t) >= 0 and sum(t) == delta and sum(xs) == c_grand
             assert almost_core_member(game, [a - b for a, b in zip(xs, t)])
-            # full_report reuses x_m as x_a on an empty core, x_a when x_a >= 0
-            # and the core witness on a nonempty core; the standalone programs
+            # the dense core program decides the core and prices its cost of
+            # stability; the report reads both off the almost-core optimum
+            m = solve(dense_coalition_program(game, [1] * game.n, grand=1)).value
+            assert r.core_nonempty == (m == c_grand) and r.cost_of_stability == c_grand - m
+            # full_report's one almost-core solve, its x_a when x_a >= 0 and
+            # the core witness on a nonempty core; the standalone programs
             # must reach the same values
             ac, ac_x = r.ac_opt, r.ac_opt_allocation
-            assert ac == almost_core_optimum(game)[0]
+            assert (ac, ac_x) == almost_core_optimum(game)
             assert almost_core_member(game, ac_x) and sum(ac_x) == ac
+            # the core witness is x_a lowered to total c(N): every proper row
+            # holds, and it stays nonnegative when x_a is
+            core = r.core_allocation
+            assert (core is not None) == r.core_nonempty
+            if core is not None:
+                assert sum(core) == c_grand and almost_core_member(game, core)
+                assert min(ac_x) < 0 or min(core) >= 0
             acn, acn_x = r.ac_opt_nonneg, r.ac_opt_nonneg_allocation
             assert acn == almost_core_optimum(game, True)[0]
             assert almost_core_nonneg_member(game, acn_x) and sum(acn_x) == acn
@@ -929,7 +949,7 @@ class TestDerivedFromCoreSolve:
             games += 1
             empty += not r.core_nonempty
             negative += min(r.ac_opt_allocation) < 0
-        # both sides of both reuse rules: 296 empty cores, 127 negative shares
+        # both sides of both reuse rules: 296 empty cores, 129 negative shares
         assert games >= 400 and 180 <= empty <= games - 100 and 100 <= negative <= games - 100
 
     def test_a_report_keeps_x_a_as_the_nonneg_witness(self):
@@ -993,24 +1013,24 @@ class TestDerivedFromCoreSolve:
                 empty += 1
         assert empty == 5
 
-    AC, CORE, LEAST = "the almost-core program", "the core program", "the least-core program"
+    AC, LEAST = "the almost-core program", "the least-core program"
 
     @pytest.mark.parametrize(
         "make, negative_share, programs",
         [
-            # empty core: the core solve's x_m is x_a, and x_m >= 0 the nonnegative optimum
-            (lambda tq: random_empty_core_game(Random(98), 5), False, [CORE, LEAST]),
-            # the one almost-core run is the x >= 0 program
-            (lambda tq: random_empty_core_game(Random(98), 3), True, [AC, CORE, LEAST]),
+            # empty core: x_a >= 0 is the nonnegative optimum
+            (lambda tq: random_empty_core_game(Random(98), 5), False, [AC, LEAST]),
+            # the second almost-core run is the x >= 0 program
+            (lambda tq: random_empty_core_game(Random(98), 3), True, [AC, AC, LEAST]),
             # nonempty core: its witness is the least core's optimum (eps = 0)
-            (lambda tq: MstGame(tq), False, [AC, CORE]),
+            (lambda tq: MstGame(tq), False, [AC]),
         ],
         ids=["empty-core", "empty-core-negative-share", "tight-quarter"],
     )
     def test_a_report_skips_the_programs_it_holds(
         self, monkeypatch, tight_quarter, make, negative_share, programs
     ):
-        game = make(tight_quarter)  # sampling runs core solves
+        game = make(tight_quarter)  # sampling runs almost-core solves
         ran = []
         solve_coalitions = allocore.relaxations._solve_coalitions
 
