@@ -105,16 +105,14 @@ def empty_core_game() -> ExplicitGame:
     return ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2])
 
 
-def random_explicit_game(
-    rng: Random, n: int, low: int = 0, high: int = 10
-) -> ExplicitGame:
-    """Uniform integer costs in [low, high] on nonempty coalitions."""
-    table = [0] + [rng.randint(low, high) for _ in range((1 << n) - 1)]
+def random_explicit_game(rng: Random, n: int) -> ExplicitGame:
+    """Uniform integer costs in [0, 10] on nonempty coalitions."""
+    table = [0] + [rng.randint(0, 10) for _ in range((1 << n) - 1)]
     return ExplicitGame(n, table)
 
 
-def random_empty_core_game(rng: Random, n: int, max_tries: int = 1000) -> ExplicitGame:
-    """Rejection-sample explicit games until the core is empty.
+def random_empty_core_game(rng: Random, n: int) -> ExplicitGame:
+    """Rejection-sample up to 1000 explicit games until the core is empty.
 
     Proper coalitions get small costs and the grand coalition a large one,
     which makes empty cores frequent; every candidate is still checked.
@@ -123,19 +121,19 @@ def random_empty_core_game(rng: Random, n: int, max_tries: int = 1000) -> Explic
     """
     if n < 2:
         raise ValueError(f"an empty core needs at least two agents, got n = {n}")
-    for _ in range(max_tries):
+    for _ in range(1000):
         table = [0] + [rng.randint(1, 6) for _ in range((1 << n) - 2)]
         table.append(rng.randint(2 * n, 3 * n))
         game = ExplicitGame(n, table)
         nonempty, _ = core_nonempty(game)
         if not nonempty:
             return game
-    raise RuntimeError(f"no empty-core game found in {max_tries} draws")
+    raise RuntimeError("no empty-core game found in 1000 draws")
 
 
-def random_last_monotone_game(rng: Random, n: int, high: int = 10) -> ExplicitGame:
-    """Random costs with c(N) lifted to max_k c(N \\ {k})."""
-    table = [0] + [rng.randint(0, high) for _ in range((1 << n) - 1)]
+def random_last_monotone_game(rng: Random, n: int) -> ExplicitGame:
+    """Random costs in [0, 10] with c(N) lifted to max_k c(N \\ {k})."""
+    table = [0] + [rng.randint(0, 10) for _ in range((1 << n) - 1)]
     full = (1 << n) - 1
     table[full] = max(table[full], *(table[full ^ (1 << i)] for i in range(n)))
     return ExplicitGame(n, table)

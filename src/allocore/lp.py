@@ -3,14 +3,15 @@
 A two-phase primal simplex with Bland's anti-cycling rule. Problems are
 stated as max c . x subject to A x <= b, each variable either free (lower
 bound None) or nonnegative (lower bound 0); a row a . x >= b is added as
--a . x <= -b, and an equality as two such rows. A free variable is the
-difference of a positive and a negative part, both nonnegative, so every
-returned optimum is a vertex of the feasible region augmented by the
-x >= 0 bounds. The negative part has a virtual column, the index after the
-positive part's, and is never stored: row operations keep it -1 times the
-positive part's column in every row and in the cost row, so entering,
-the ratio test and the pivot read that column with sign -1. Basis, pivot
-trace and column order are in virtual indices, those of the split tableau.
+-a . x <= -b, and an equality as two such rows. Column i of the tableau
+is variable i. A free column enters when its reduced cost is nonzero and
+moves in that sign's direction; once basic it never leaves, because the
+ratio test skips its row. Its right-hand side may then be negative, while
+every other row keeps rhs >= 0. Bland's rule still terminates: each free
+variable enters at most once, and every other pivot is an ordinary Bland
+pivot over the rows whose basic column is not free. An optimum is a basic
+solution whose nonbasic free variables read 0, and their reduced costs
+are 0 there too.
 
 A row is a map from variable index to coefficient ({0: 1, 3: -2} is
 x0 - 2 x3); absent variables read 0. ``add`` scales each row to integers
@@ -22,21 +23,21 @@ nothing can change a row after ``add`` checked it. The objective
 and the lower bounds are dense tuples, one entry per variable.
 
 The tableau keeps each row as a dict of its nonzero integer numerators
-over one positive integer denominator of its own. A problem is append-only:
-its variables, objective and bounds are fixed at construction, and ``add``
-translates each row into its tableau row (columns, slack, sign, rhs and
-den) as it stores it, so a solve only copies the rows, and row generation,
-which appends rows between solves, translates each row once. One loop does
-every row update: a pivot clears its column from the other rows and the
-cost row with it, and pricing out the objective runs through it too. It
-touches only the rows with a nonzero in the pivot column and does only
-integer arithmetic (row i becomes (p * row_i - f * pivot_row) / (q_i * p),
-then is divided by the gcd of its entries). Every tableau entry is the same
-rational as in a dense Fraction tableau, so the pivot choices, and the
-returned values, are those of the textbook method. The optimum is read out
-on integers: a variable's two parts are never both basic, so x is the
-basic right-hand sides over p, the lcm of those rows' denominators, and
-its value is one integer dot product with the objective over its common
+over one positive integer denominator of its own. A problem is
+append-only: its variables, objective and bounds are fixed at
+construction, and ``add`` translates each row into its tableau row
+(columns, slack, sign, rhs and den) as it stores it, so a solve only
+copies the rows, and row generation, which appends rows between solves,
+translates each row once. One loop does every row update: a pivot clears
+its column from the other rows and the cost row with it, and pricing out
+the objective runs through it too. It touches only the rows with a nonzero
+in the pivot column and does only integer arithmetic (row i becomes
+(p * row_i - f * pivot_row) / (q_i * p), then is divided by the gcd of its
+entries). Every tableau entry is the same rational as in a dense Fraction
+tableau, so the pivot choices, and the returned values, are those of the
+textbook method. The optimum is read out on integers: x is the basic
+right-hand sides over p, the lcm of those rows' denominators, and its
+value is one integer dot product with the objective over its common
 denominator d, divided by d * p. Values are handed back as
 fractions.Fraction, one built per nonzero coordinate, and every optimum is
 checked with verify_point, which also compares integers: each stored row
@@ -44,16 +45,16 @@ against the point over its common denominator. No floating point is used
 anywhere. Column and row order are fixed and there is no presolve, so
 identical problems give identical solutions.
 
-Row r has a slack column, the r-th after the structural ones. The slack
-columns have full row rank, so phase 1 never drops a row, and every
-optimum carries its dual certificate: y_r is minus the reduced cost of row
-r's slack column in the final cost row (negating a row with a negative
-rhs negates its slack column and its tableau multiplier alike, so the sign
-holds). Only rows whose slack has a nonzero reduced cost are visited, and
-no Fraction is built for a zero multiplier. ``solve`` checks the
-certificate on integers next to verify_point: y >= 0, (A^T y)_j = c_j on
-free columns and >= c_j on x >= 0 columns, and b . y equals the value,
-which proves the point optimal.
+Row r has a slack column, num_vars + r. The slack columns have full row
+rank, so phase 1 never drops a row, and every optimum carries its dual
+certificate: y_r is minus the reduced cost of row r's slack column in the
+final cost row (negating a row with a negative rhs negates its slack
+column and its tableau multiplier alike, so the sign holds). Only rows
+whose slack has a nonzero reduced cost are visited, and no Fraction is
+built for a zero multiplier. ``solve`` checks the certificate on integers
+next to verify_point: y >= 0, (A^T y)_j = c_j on free columns and >= c_j
+on x >= 0 columns, and b . y equals the value, which proves the point
+optimal.
 """
 
 from __future__ import annotations
@@ -125,19 +126,10 @@ class LpProblem:
         self._num_vars = num_vars
         self._lower_bounds = bounds
         self._constraints: list[Constraint] = []
-        # Virtual column layout: one column per nonnegative variable, two per
-        # free variable (positive and negative parts); only the first is stored.
-        col_var: list[tuple[int, int]] = []  # (variable index, sign)
-        first_col: list[int] = []
-        for i, lb in enumerate(bounds):
-            first_col.append(len(col_var))
-            col_var.append((i, 1))
-            if lb is None:
-                col_var.append((i, -1))
-        self._col_var, self._first_col = col_var, first_col
-        self._free = frozenset(first_col[i] for i, lb in enumerate(bounds) if lb is None)
+        self._free = frozenset(i for i, lb in enumerate(bounds) if lb is None)
         # solve's tableau rows, one (coef, rhs, den, basic column or -1) per
-        # constraint; row r's slack is column len(col_var) + r
+        # constraint; column i is variable i and row r's slack is column
+        # num_vars + r
         self._rows: list[tuple[dict[int, int], int, int, int]] = []
 
     @property
@@ -189,9 +181,8 @@ class LpProblem:
         # with a negative rhs is negated. Its basic column is then the slack
         # when it still reads +1, otherwise an artificial one, which solve
         # adds after all real columns.
-        first_col = self._first_col
-        tcoef = {first_col[i]: c for i, c in coef.items()}
-        slack = len(self._col_var) + len(self._rows)
+        tcoef = dict(coef)
+        slack = self._num_vars + len(self._rows)
         tcoef[slack] = den
         basic = slack if num >= 0 else -1
         if num < 0:
@@ -242,18 +233,17 @@ class _Row:
         self.den = den
 
 
-def _clear(prow: _Row, c: int, sign: int, rows) -> None:
-    """Clear stored column c from each row of ``rows`` other than prow:
-    subtract the multiple of prow that zeroes it, then divide by the gcd of
-    the denominator and numerators. prow reads 1 in the pivot's virtual
-    column, so prow.coef[c] is sign * prow.den, sign being -1 when that
-    column is the negative part of c."""
+def _clear(prow: _Row, c: int, rows) -> None:
+    """Clear column c from each row of ``rows`` other than prow: subtract
+    the multiple of prow that zeroes it, then divide by the gcd of the
+    denominator and numerators. prow reads 1 in column c, so prow.coef[c]
+    is prow.den."""
     p, prhs, pitems = prow.den, prow.rhs, tuple(prow.coef.items())
     for row in rows:
         coef = row.coef
         if c not in coef or row is prow:
             continue
-        f = sign * coef[c]
+        f = coef[c]
         if p != 1:
             coef = {j: v * p for j, v in coef.items()}
         for j, v in pitems:  # column c nets f * p - f * p = 0
@@ -274,11 +264,10 @@ def _clear(prow: _Row, c: int, sign: int, rows) -> None:
 
 
 class _Tableau:
-    """Simplex tableau over virtual columns. Column basis[r] reads 1 in row r
-    and 0 in every other row; cost holds the reduced costs, whose signs pick
-    the entering column. A free variable's negative part, the virtual column
-    after its positive part j, is -1 times column j in every row and in the
-    cost row, so only column j is stored; ``free`` holds those j."""
+    """Simplex tableau, one column per variable, then the slacks. Column
+    basis[r] reads 1 in row r and 0 in every other row; cost holds the
+    reduced costs, whose signs pick the entering column. ``free`` holds the
+    columns of free variables."""
 
     def __init__(self, rows: list[_Row], basis: list[int], cost: _Row, free: frozenset[int]):
         """Take the objective row ``cost`` and price it out against the basic
@@ -288,21 +277,14 @@ class _Tableau:
         self.cost = cost
         self.free = free
         for row, bcol in zip(rows, basis):
-            c, sign = self.stored(bcol)
-            if c in cost.coef:
-                _clear(row, c, sign, (cost,))
-
-    def stored(self, c: int) -> tuple[int, int]:
-        """(stored column, sign) of virtual column c."""
-        return (c - 1, -1) if c - 1 in self.free else (c, 1)
+            if bcol in cost.coef:
+                _clear(row, bcol, (cost,))
 
     def pivot(self, r: int, c: int) -> None:
-        """Pivot on (r, c), c a virtual column: scale row r to read 1 in
-        column c, then clear column c from every other row and from the
-        cost row."""
-        col, sign = self.stored(c)
+        """Pivot on (r, c): scale row r to read 1 in column c, then clear
+        column c from every other row and from the cost row."""
         prow = self.rows[r]
-        p = prow.coef[col] * sign
+        p = prow.coef[c]
         if p < 0:
             prow.coef = {j: -v for j, v in prow.coef.items()}
             prow.rhs = -prow.rhs
@@ -314,31 +296,29 @@ class _Tableau:
                 prow.rhs //= g
                 p //= g
         prow.den = p
-        _clear(prow, col, sign, chain(self.rows, (self.cost,)))
+        _clear(prow, c, chain(self.rows, (self.cost,)))
         self.basis[r] = c
 
     def run_simplex(self) -> str:
         """Bland-rule primal simplex; mutates the tableau in place.
 
         Returns "optimal" or "unbounded". The entering column is the smallest
-        virtual one with a positive reduced cost (a free column's negative
-        reduced cost offers its negative part); the leaving row has the
-        smallest ratio rhs / a over rows with a > 0 (row denominators
-        cancel), ties going to the smaller basis index.
+        one with a positive reduced cost, or a nonzero one when the column is
+        free; it moves in the direction of that sign. The leaving row has the
+        smallest ratio rhs / a, a being the entry times that sign, over rows
+        with a > 0 whose basic column is not free (row denominators cancel),
+        ties going to the smaller basis index.
         """
-        rows, basis, free = self.rows, self.basis, self.free
+        rows, basis, free, cost = self.rows, self.basis, self.free, self.cost
         while True:
-            enter = min(
-                (j if v > 0 else j + 1 for j, v in self.cost.coef.items() if v > 0 or j in free),
-                default=-1,
-            )
+            enter = min((j for j, v in cost.coef.items() if v > 0 or j in free), default=-1)
             if enter < 0:
                 return "optimal"
-            col, sign = self.stored(enter)
+            sign = 1 if cost.coef[enter] > 0 else -1
             leave = -1
             for r, row in enumerate(rows):
-                a = sign * row.coef.get(col, 0)
-                if a > 0:
+                a = sign * row.coef.get(enter, 0)
+                if a > 0 and basis[r] not in free:
                     if leave < 0:
                         leave, best_rhs, best_a = r, row.rhs, a
                         continue
@@ -358,7 +338,8 @@ def solve(problem: LpProblem) -> LpSolution:
     # Copies of the rows add built, with an artificial column for each row
     # that has no basic slack.
     built = problem._rows
-    width = len(problem._col_var) + len(built)
+    n = problem.num_vars
+    width = n + len(built)
     rows = [_Row(coef.copy(), rhs, den) for coef, rhs, den, _ in built]
     basis = [basic for *_, basic in built]
     art_rows = [r for r, basic in enumerate(basis) if basic < 0]
@@ -373,14 +354,12 @@ def solve(problem: LpProblem) -> LpSolution:
         verdict = tab.run_simplex()
         if verdict != "optimal":  # the phase-1 objective is bounded by 0
             raise AssertionError("phase 1 cannot be unbounded")
-        # Right-hand sides stay nonnegative, so the optimum is 0 exactly
-        # when every artificial still in the basis sits at 0.
+        # Rows whose basic column is not free keep rhs >= 0, so the optimum
+        # is 0 exactly when every artificial still in the basis sits at 0.
         if any(row.rhs for row, bcol in zip(rows, basis) if bcol >= width):
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive remaining artificials out of the basis, each on its row's
-        # smallest real column; the slack columns give every row one. A stored
-        # column precedes its virtual negative part, so the smallest stored
-        # real column is the smallest nonzero virtual one.
+        # smallest real column; the slack columns give every row one.
         for r, bcol in enumerate(basis):
             if bcol >= width:
                 tab.pivot(r, min(j for j in rows[r].coef if j < width))
@@ -389,20 +368,18 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # Phase 2: the real objective over the current basis.
     obj, d = over_common_denominator(problem.objective)
-    cost = _Row({problem._first_col[i]: c for i, c in enumerate(obj) if c}, 0, d)
+    cost = _Row({i: c for i, c in enumerate(obj) if c}, 0, d)
     tab = _Tableau(rows, basis, cost, problem._free)
     verdict = tab.run_simplex()
     if verdict == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
 
-    # x as integers over p: a variable's two columns are never both basic.
-    col_var = problem._col_var
-    basic = [(row, bcol) for row, bcol in zip(rows, basis) if bcol < len(col_var) and row.rhs]
+    # x as integers over p; a nonbasic variable reads 0.
+    basic = [(row, bcol) for row, bcol in zip(rows, basis) if bcol < n and row.rhs]
     p = lcm(*(row.den for row, _ in basic))
-    xs = [0] * problem.num_vars
+    xs = [0] * n
     for row, bcol in basic:
-        i, sign = col_var[bcol]
-        xs[i] = sign * row.rhs * (p // row.den)
+        xs[bcol] = row.rhs * (p // row.den)
     value = Fraction(sum(map(operator.mul, obj, xs)), d * p)
     point = tuple(Fraction(v, p) if v else _ZERO for v in xs)
 
@@ -412,7 +389,7 @@ def solve(problem: LpProblem) -> LpSolution:
             f"simplex returned an infeasible point: rows {check.violated_constraints}, "
             f"bounds {check.violated_bounds}"
         )
-    support = _dual_support(tab.cost, len(col_var))
+    support = _dual_support(tab.cost, n)
     duals = _check_duals(problem, support, tab.cost.den, obj, d, value)
     return LpSolution(LpStatus.OPTIMAL, value, point, duals)
 

@@ -312,28 +312,28 @@ def reference_simplex(problem):
     """Dense Fraction two-phase simplex with Bland's rule, for auditing ``solve``.
 
     Reads an ``LpProblem`` and makes the pivot choices that ``allocore.lp``
-    is specified to make: the entering column is the smallest index with a
-    positive reduced cost, the leaving row has the smallest ratio with ties
-    to the smaller basis index, and after phase 1 each artificial left in the
-    basis is pivoted out on its row's smallest nonzero real column (every row
-    has one: its slack column). Returns ``(status, value, point, trace)``:
-    status is "optimal", "infeasible" or "unbounded", value and point are
-    None unless optimal, and trace lists every pivot as (row, column).
+    is specified to make, on one column per variable followed by one slack
+    per row: the entering column is the smallest index with a positive
+    reduced cost, or a nonzero one when the variable is free, and it moves
+    in the direction of that sign. The leaving row has the smallest ratio
+    over the rows whose basic variable is not free, with ties to the smaller
+    basis index, so a free variable never leaves the basis. After phase 1
+    each artificial left in the basis is pivoted out on its row's smallest
+    nonzero real column (every row has one: its slack column). Returns
+    ``(status, value, point, trace)``: status is "optimal", "infeasible" or
+    "unbounded", value and point are None unless optimal, and trace lists
+    every pivot as (row, column).
     """
     zero = Fraction(0)
-    col_var = []  # (variable, sign): free variables get a +/- pair of columns
-    for i, lb in enumerate(problem.lower_bounds):
-        col_var.append((i, 1))
-        if lb is None:
-            col_var.append((i, -1))
-    nstruct = len(col_var)
-    width = nstruct + len(problem.constraints)
+    n = problem.num_vars
+    free = {i for i, lb in enumerate(problem.lower_bounds) if lb is None}
+    width = n + len(problem.constraints)
 
     rows, rhs = [], []
     for r, con in enumerate(problem.constraints):
         coeffs, b = rational_row(con)
-        row = [coeffs.get(i, zero) * sign for i, sign in col_var] + [zero] * (width - nstruct)
-        row[nstruct + r] = Fraction(1)  # the slack
+        row = [coeffs.get(i, zero) for i in range(n)] + [zero] * (width - n)
+        row[n + r] = Fraction(1)  # the slack
         if b < 0:
             row, b = [-v for v in row], -b
         rows.append(row)
@@ -342,8 +342,8 @@ def reference_simplex(problem):
     basis = []
     art_rows = []
     for r, row in enumerate(rows):
-        if row[nstruct + r] == 1:
-            basis.append(nstruct + r)
+        if row[n + r] == 1:
+            basis.append(n + r)
         else:
             basis.append(width + len(art_rows))
             art_rows.append(r)
@@ -369,15 +369,17 @@ def reference_simplex(problem):
 
     def simplex(cost):
         while True:
-            enter = next((j for j, v in enumerate(cost) if v > 0), None)
+            enter = next((j for j, v in enumerate(cost) if v > 0 or (v and j in free)), None)
             if enter is None:
                 return "optimal"
+            sign = 1 if cost[enter] > 0 else -1
             leave = None
             for r, row in enumerate(rows):
-                if row[enter] > 0:
-                    ratio = rhs[r] / row[enter]
-                    if leave is None or (ratio, basis[r]) < (rhs[leave] / rows[leave][enter], basis[leave]):
-                        leave = r
+                a = sign * row[enter]
+                if a > 0 and basis[r] not in free:
+                    ratio = rhs[r] / a
+                    if leave is None or (ratio, basis[r]) < (best, basis[leave]):
+                        leave, best = r, ratio
             if leave is None:
                 return "unbounded"
             pivot(leave, enter, cost)
@@ -394,18 +396,17 @@ def reference_simplex(problem):
                 pivot(r, next(j for j in range(width) if rows[r][j]), cost)
         rows[:] = [row[:width] for row in rows]
 
-    obj = [problem.objective[i] * sign for i, sign in col_var] + [zero] * (width - nstruct)
+    obj = list(problem.objective) + [zero] * (width - n)
     cost = list(obj)
     for r, b in enumerate(basis):
         cost = [a - obj[b] * v for a, v in zip(cost, rows[r])]
     if simplex(cost) == "unbounded":
         return "unbounded", None, None, trace
 
-    x = [zero] * problem.num_vars
+    x = [zero] * n
     for r, b in enumerate(basis):
-        if b < nstruct:
-            i, sign = col_var[b]
-            x[i] += sign * rhs[r]
+        if b < n:
+            x[b] = rhs[r]
     value = sum((c * v for c, v in zip(problem.objective, x)), zero)
     return "optimal", value, tuple(x), trace
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import lcm
 from random import Random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,18 +29,34 @@ def add_equality(problem, coeffs, rhs):
     problem.add({i: -Fraction(v) for i, v in coeffs.items()}, -Fraction(rhs))
 
 
-def traced_solve(problem):
-    """``solve(problem)`` and the (row, column) of every pivot it made."""
-    trace = []
+class Pivot(NamedTuple):
+    row: int
+    enters: int
+    leaves: int
+    rhs: int  # the pivot row's right-hand side numerator before the pivot
+    enters_free: bool
+    leaves_free: bool
+
+
+def recorded_pivots(run):
+    """Call ``run()`` and return its result and every pivot it made."""
+    pivots = []
     pivot = _Tableau.pivot
 
-    def recording(self, r, c, *args):
-        trace.append((r, c))
-        return pivot(self, r, c, *args)
+    def recording(self, r, c):
+        leaves = self.basis[r]
+        pivots.append(Pivot(r, c, leaves, self.rows[r].rhs, c in self.free, leaves in self.free))
+        pivot(self, r, c)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tableau, "pivot", recording)
-        return solve(problem), trace
+        return run(), pivots
+
+
+def traced_solve(problem):
+    """``solve(problem)`` and the (row, column) of every pivot it made."""
+    sol, pivots = recorded_pivots(lambda: solve(problem))
+    return sol, [pv[:2] for pv in pivots]
 
 
 def test_pair_constraint_binds():
@@ -123,7 +140,7 @@ def test_problem_is_fixed_at_construction():
         p.add({0: 1}, 1.5)
     p.add({1: 1}, 0)
     assert len(p.constraints) == 3 and assert_solves_as_fresh(p).value == 5
-    assert traced_solve(p)[1][-1] == (1, 3)  # the slack follows x0 and x1's two parts
+    assert traced_solve(p)[1][-1] == (1, 2)  # the slack follows x0 and x1
     q = LpProblem(1, [1], [0])
     with pytest.raises(AttributeError):
         q.num_vars = 2  # the rows were checked against 1 variable
@@ -140,6 +157,30 @@ def test_degenerate_cycling_guard():
     sol = solve(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == Fraction(1, 20)
+
+
+def test_degenerate_program_with_a_free_variable():
+    # Beale's program with a free y (column 0) added to both rhs-0 rows, and
+    # y >= 0. y enters first, at a zero step, and stays basic while the
+    # degenerate pivots that follow run over the other rows.
+    p = LpProblem(5, [1, "3/4", -150, "1/50", -6], [None, 0, 0, 0, 0])
+    p.add({0: 1, 1: "1/4", 2: -60, 3: "-1/25", 4: 9}, 0)
+    p.add({0: 1, 1: "1/2", 2: -90, 3: "-1/50", 4: 3}, 0)
+    p.add({0: -1}, 0)
+    p.add({3: 1}, 1)
+    sol, pivots = recorded_pivots(lambda: solve(p))
+    assert pivots[0][:4] == (0, 0, 5, 0)  # y enters on row 0, its slack leaves
+    assert sum(pv.rhs == 0 for pv in pivots) >= 3
+    assert not any(pv.leaves_free for pv in pivots)
+    assert sol.value == Fraction(1, 20)
+    # the duals prove the value: y >= 0, (A^T y)_j = c_j on the free column
+    # and >= c_j on the others, and b . y = 1/20
+    stored = [rational_row(con) for con in p.constraints]
+    aty = [sum((coef.get(j, 0) * y for (coef, _), y in zip(stored, sol.duals)), Fraction(0)) for j in range(5)]
+    assert min(sol.duals) >= 0
+    assert aty[0] == p.objective[0] and all(a >= c for a, c in zip(aty[1:], p.objective[1:]))
+    assert sum((b * y for (_, b), y in zip(stored, sol.duals)), Fraction(0)) == sol.value
+    assert_optimal_vertex(p, sol)
 
 
 def test_determinism_bit_for_bit(unbalanced3):
@@ -422,6 +463,32 @@ def test_coalition_programs_pivot_as_reference_simplex(monkeypatch):
         almost_core_optimum(MstGame(random_graph(rng, 7, model)), True)
     phase1 = [p for p in checked if any(con.rhs < 0 for con in p.constraints)]
     assert phase1 and max(p.lower_bounds.count(None) for p in phase1) == 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_programs())
+def test_a_free_basic_column_never_leaves(problem):
+    _, pivots = recorded_pivots(lambda: solve(problem))
+    assert not any(pv.leaves_free for pv in pivots)
+
+
+@pytest.fixture(scope="module")
+def report_sweep_pivots():
+    """Every pivot of full_report on ten seeded n = 6 empty-core games: each
+    working set of the almost-core, least-core and nonnegative programs."""
+    _, pivots = recorded_pivots(lambda: [full_report(random_empty_core_game(Random(k), 6)) for k in range(10)])
+    return pivots
+
+
+def test_no_report_pivot_moves_a_free_basic_column_out(report_sweep_pivots):
+    assert any(pv.enters_free for pv in report_sweep_pivots)
+    assert not any(pv.leaves_free for pv in report_sweep_pivots)
+
+
+def test_report_sweep_pivot_ceiling(report_sweep_pivots):
+    # 765 pivots. Splitting each free variable into x+ - x-, whose basic
+    # part could leave and the other part then re-enter, took 897.
+    assert len(report_sweep_pivots) <= 765
 
 
 # Points whose denominators mostly do not divide the rows' denominators.
