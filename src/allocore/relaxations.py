@@ -39,13 +39,21 @@ has <= rows only and a checked dual certificate, and ``_lower_to`` makes
 its witness budget balanced without changing eps. A report thus solves
 the almost-core program, the least core only on an empty core, and the
 nonnegative program only on a negative share of x_a; it re-checks only
-the least-core value against the weak epsilon.
+the least-core value against the weak epsilon. The least core and the
+almost core bind on almost the same balanced collection of coalitions
+(Bondareva 1963; Shapley 1967), so a report's least core starts from the
+final working set of the program solved just before it: the nonnegative
+program's on a negative share of x_a, else the almost-core program's.
+That saves the rounds that would find those rows again; it can move the
+least-core witness, never eps. The set is passed from call to call, never
+kept in the module, so a standalone call starts from the game's seed.
 
 Every program has one row per proper coalition (2^n - 2 rows), of which
 about n bind at an optimal vertex, so each is solved by row generation
 (``_solve_coalitions``, the one builder of coalition rows). The working
-set starts from the rows of ``game.seed_coalitions()``, plus the
-grand-coalition row where the program has one. Every game seeds the n
+set starts from the rows of ``game.seed_coalitions()`` and of any rows the
+caller passes on, plus the grand-coalition row where the program has one.
+Every game seeds the n
 singleton rows, which bound every program; a spanning-tree game adds
 every N \\ {k}, the rows its 2-approximation prices, which carry much of
 the dual support at the almost-core optimum. A proper row reads
@@ -67,7 +75,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .coalition import Coalition, bits_members
 from .errors import PreconditionError, UndefinedRatioError
@@ -100,15 +108,18 @@ def _require_multi_agent(game: Game, what: str) -> None:
 
 def _solve_coalitions(
     game: Game, objective: Sequence[object], bounds: Sequence[object | None] | None = None, *,
-    what: str, slack: int | None = None, grand: int | None = None,
-) -> LpSolution:
+    what: str, slack: int | None = None, grand: int | None = None, seed: Iterable[int] = (),
+) -> tuple[LpSolution, set[int]]:
     """The optimum of max objective . (x, y) subject to x(S) - y[slack] <= c(S)
     for every proper coalition S, plus grand * (x(N) - c(N)) <= 0 when
     ``grand`` is 1 or -1; x are the first n variables and y the rest.
     ``slack`` names the y variable taken off each proper row.
 
     Solved by row generation (see the module docstring) from the rows of
-    ``game.seed_coalitions()``, one solve per scan. Every program here is
+    ``game.seed_coalitions()`` and of ``seed``, proper-coalition bitmasks,
+    one solve per scan. Returns the optimum and the final working set, the
+    bitmasks of every proper row the last solve held, which a later program
+    of the same report takes as its ``seed``. Every program here is
     feasible and its seed rows bound it, so a working set that does not
     solve to OPTIMAL is a bug and raises AssertionError.
     """
@@ -126,7 +137,7 @@ def _solve_coalitions(
             row[slack] = -1
         problem.add(row, game.cost_bits(bits))
 
-    working = set(game.seed_coalitions())
+    working = set(game.seed_coalitions()).union(seed)
     _ensure(working.isdisjoint((0, full)), f"{what}: a seed row is not a proper coalition")
     for bits in sorted(working):
         add(bits)
@@ -144,12 +155,24 @@ def _solve_coalitions(
             n, [b for b in range(1, full) if excess[b] > 0], key=excess.__getitem__
         )
         if not violated:
-            return solution
+            return solution, working
         # every point satisfies its rows, so a scan that disagrees would loop forever
         _ensure(working.isdisjoint(violated), f"{what}: the scan contradicts a working-set row")
         working.update(violated)
         for bits in violated:
             add(bits)
+
+
+def _almost_core(
+    game: Game, require_nonneg: bool
+) -> tuple[Fraction, tuple[Fraction, ...], set[int]]:
+    """The almost-core optimum, a maximizer and the program's final working set."""
+    _require_multi_agent(game, "almost-core maximization")
+    n = game.n
+    solution, rows = _solve_coalitions(
+        game, [_ONE] * n, [_ZERO] * n if require_nonneg else None, what="the almost-core program"
+    )
+    return solution.value, solution.point, rows
 
 
 def almost_core_optimum(
@@ -159,12 +182,7 @@ def almost_core_optimum(
 
     With ``require_nonneg`` the agents must not be subsidized (x >= 0).
     """
-    _require_multi_agent(game, "almost-core maximization")
-    n = game.n
-    solution = _solve_coalitions(
-        game, [_ONE] * n, [_ZERO] * n if require_nonneg else None, what="the almost-core program"
-    )
-    return solution.value, solution.point
+    return _almost_core(game, require_nonneg)[:2]
 
 
 def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
@@ -178,7 +196,7 @@ def core_optimum(game: Game, objective: Sequence[object]) -> LpSolution:
         raise ValueError("objective length does not match the game")
     if any(as_rational(v) < 0 for v in objective):
         return LpSolution(LpStatus.UNBOUNDED)
-    return _solve_coalitions(game, objective, what="the core program", grand=1)
+    return _solve_coalitions(game, objective, what="the core program", grand=1)[0]
 
 
 def _lower_to(x: Sequence[Fraction], total: Fraction) -> tuple[Fraction, ...]:
@@ -197,6 +215,7 @@ class _Shareable(NamedTuple):
     constraint, N included, and its maximizer x_m (module docstring)."""
 
     almost_core: tuple[Fraction, tuple[Fraction, ...]]  # (a, x_a); (m, x_m) at n <= 1
+    rows: set[int]  # the almost-core program's final working set; empty at n <= 1
     maximizer: tuple[Fraction, ...]
     core: tuple[Fraction, ...] | None  # the maximizer when m = c(N)
     # c(N)/m - 1, the maximizer scaled by c(N)/m
@@ -212,7 +231,10 @@ def _max_shareable(game: Game) -> _Shareable:
     n = game.n
     c_grand = game.grand_cost()
     # the almost-core program is undefined at n <= 1: there (m, x_m) is the core (value, point)
-    a, x_a = almost_core_optimum(game) if n > 1 else core_optimum(game, [_ONE] * n)[1:3]
+    if n > 1:
+        a, x_a, rows = _almost_core(game, False)
+    else:
+        (a, x_a), rows = core_optimum(game, [_ONE] * n)[1:3], set()
     m = min(a, c_grand)
     x = _lower_to(x_a, m)
     if m == c_grand:
@@ -227,7 +249,7 @@ def _max_shareable(game: Game) -> _Shareable:
     eps_w = cos / n if n else cos  # no agents: c(N) = m = 0
     t = tuple(cos if i == 0 else _ZERO for i in range(n))
     return _Shareable(
-        (a, x_a), x, x if m == c_grand else None, mult, gamma, cos,
+        (a, x_a), rows, x, x if m == c_grand else None, mult, gamma, cos,
         (eps_w, tuple(v + eps_w for v in x)), (cos, (tuple(v + s for v, s in zip(x, t)), t)),
     )
 
@@ -242,14 +264,26 @@ def core_nonempty(game: Game) -> tuple[bool, tuple[Fraction, ...] | None]:
     return core is not None, core
 
 
-def least_core_eps(game: Game) -> tuple[Fraction, tuple[Fraction, ...]]:
+def least_core_eps(
+    game: Game, *, rows: Iterable[int] = ()
+) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Smallest uniform additive relaxation (the least-core value) and a witness:
     min eps >= 0 with x(S) - eps <= c(S) for proper S and x(N) = c(N),
-    solved with x(N) >= c(N) and x lowered to x(N) = c(N) by ``_lower_to``."""
+    solved with x(N) >= c(N) and x lowered to x(N) = c(N) by ``_lower_to``.
+
+    ``rows`` names proper coalitions, as bitmasks, whose rows join the seed
+    rows of the program's first solve. They can change the witness, never
+    eps; a value that is not a proper coalition raises ValueError.
+    """
     n = game.n
-    solution = _solve_coalitions(
+    full = (1 << n) - 1
+    rows = tuple(rows)
+    for bits in rows:
+        if not (isinstance(bits, int) and 0 < bits < full):
+            raise ValueError(f"row {bits!r} is not a proper coalition of {n} agents")
+    solution, _ = _solve_coalitions(
         game, [_ZERO] * n + [-_ONE], [None] * n + [_ZERO], what="the least-core program",
-        slack=n, grand=-1,
+        slack=n, grand=-1, seed=rows,
     )
     return -solution.value, _lower_to(solution.point[:n], game.grand_cost())
 
@@ -323,7 +357,8 @@ def full_report(game: Game) -> RelaxationReport:
     gamma, eps_m, the cost of stability, the weak epsilon and the minimum
     subsidy (module docstring). The least core and the nonnegative
     almost-core optimum run their own programs only when the report does
-    not hold them, so a report runs 1 to 3 programs. eps_w <= eps_s <=
+    not hold them, so a report runs 1 to 3 programs; the least core starts
+    from the final rows of the program solved before it. eps_w <= eps_s <=
     (n-1) eps_w is checked; on an empty core, gamma must be defined
     (c(N) > 0), which only negative costs can break. Raises
     PreconditionError at n <= 1, where the almost core is unbounded.
@@ -335,8 +370,11 @@ def full_report(game: Game) -> RelaxationReport:
     has_core = shareable.core is not None
     mult, gamma = shareable.mult, shareable.gamma
     ac_val, ac_x = shareable.almost_core
-    acn_val, acn_x = (ac_val, ac_x) if min(ac_x) >= 0 else almost_core_optimum(game, True)
-    eps_s, eps_s_x = (_ZERO, shareable.core) if has_core else least_core_eps(game)
+    # rows: the final working set of the last program solved
+    acn_val, acn_x, rows = (
+        (ac_val, ac_x, shareable.rows) if min(ac_x) >= 0 else _almost_core(game, True)
+    )
+    eps_s, eps_s_x = (_ZERO, shareable.core) if has_core else least_core_eps(game, rows=rows)
     eps_w, eps_w_x = shareable.weak_core_eps
     delta_ec, (ec_x, ec_t) = shareable.extended_core_delta
 

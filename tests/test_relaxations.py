@@ -740,7 +740,8 @@ class TestRowGeneration:
 
     def test_matches_a_loop_that_solves_every_round(self, monkeypatch):
         # both loops start from the game's seed rows and solve every round,
-        # so they add the same rows and return the same solution
+        # so they add the same rows and return the same solution and the
+        # coalitions of the same final rows
         problems = []
 
         def capturing(problem):
@@ -761,7 +762,7 @@ class TestRowGeneration:
         for game in games:
             for nonneg in (False, True):
                 problems.clear()
-                got = allocore.relaxations._solve_coalitions(
+                got, working = allocore.relaxations._solve_coalitions(
                     game, [1] * game.n, [0] * game.n if nonneg else None, what="the sweep"
                 )
                 want, reference = reference_row_generation(game, nonneg)
@@ -769,6 +770,9 @@ class TestRowGeneration:
                 assert [_row(con) for con in problems[-1].constraints] == [
                     _row(con) for con in reference.constraints
                 ], (game.table(), nonneg)
+                assert working == {
+                    sum(1 << i for i in con.coef) for con in reference.constraints
+                }, (game.table(), nonneg)
 
     def test_one_agent_still_solves_its_empty_seed_program(self):
         # the one singleton row is N, so the seed program has no rows at all
@@ -1043,6 +1047,89 @@ class TestDerivedFromCoreSolve:
         assert (min(r.ac_opt_allocation) < 0) == negative_share
         assert r.core_nonempty == (self.LEAST not in programs)
         assert sorted(ran) == programs
+
+
+class TestReportCarriesRows:
+    """A report's least core starts from the final rows of the program the
+    report solved last; a standalone least core starts from the game's seed
+    rows. The rows can move the witness, never eps."""
+
+    def test_the_least_core_starts_from_the_last_programs_rows(self, monkeypatch):
+        calls = []
+        solve_coalitions = allocore.relaxations._solve_coalitions
+
+        def recording(game, objective, bounds=None, **kwargs):
+            solution, working = solve_coalitions(game, objective, bounds, **kwargs)
+            calls.append((kwargs["what"], set(kwargs.get("seed", ())), set(working)))
+            return solution, working
+
+        monkeypatch.setattr(allocore.relaxations, "_solve_coalitions", recording)
+        rng = Random(146)
+        shapes = set()
+        for _ in range(40):
+            game = random_empty_core_game(rng, rng.randint(3, 6))
+            calls.clear()
+            r = full_report(game)
+            *earlier, (what, seed, _) = calls
+            assert what == "the least-core program" and seed == earlier[-1][2]
+            # no earlier program is seeded: the almost-core programs keep their witnesses
+            assert all(not before for _, before, _ in earlier)
+            shapes.add((len(earlier), min(r.ac_opt_allocation) < 0))
+        # the nonnegative program's rows on a negative share, the plain one's otherwise
+        assert shapes == {(1, False), (2, True)}
+
+    def test_a_report_keeps_eps_and_a_least_core_witness(self):
+        rng = Random(147)
+        full = (1 << 6) - 1
+        moved = 0
+        for _ in range(200):
+            game = random_empty_core_game(rng, 6)
+            r = full_report(game)
+            eps, x = least_core_eps(game)
+            assert not r.core_nonempty and r.eps_strong == eps > 0
+            assert sum(r.eps_strong_allocation) == game.grand_cost()
+            assert all(
+                coalition_sum(r.eps_strong_allocation, bits) - eps <= game.cost_bits(bits)
+                for bits in range(1, full)
+            )
+            moved += r.eps_strong_allocation != x
+        # the seed rows moved some witnesses: the report did not start from the singletons
+        assert 0 < moved < 200
+
+    def test_a_report_leaks_no_rows_into_later_calls(self):
+        rng = Random(148)
+        moved = 0
+        for _ in range(30):
+            game = random_empty_core_game(rng, 6)
+            n = game.n
+
+            def standalone():
+                return (
+                    least_core_eps(game),
+                    almost_core_optimum(game),
+                    almost_core_optimum(game, True),
+                    core_optimum(game, [1] * n),
+                )
+
+            before = standalone()
+            moved += full_report(game).eps_strong_allocation != before[0][1]
+            assert standalone() == before
+        assert moved > 0  # leaked rows would have moved these witnesses
+
+    def test_extra_rows_change_no_eps(self):
+        rng = Random(149)
+        for n in range(2, 7):
+            game = random_empty_core_game(rng, n)
+            full = (1 << n) - 1
+            eps = least_core_eps(game)[0]
+            # every proper row at once: the first solve is the dense program
+            assert least_core_eps(game, rows=range(1, full))[0] == eps
+            assert least_core_eps(game, rows=(full ^ (1 << k) for k in range(n)))[0] == eps
+
+    @pytest.mark.parametrize("bad", [0, 7, 8, -1, 1.5, "1"])
+    def test_rows_outside_the_proper_coalitions_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"is not a proper coalition of 3 agents$"):
+            least_core_eps(ExplicitGame(3, [0, 1, 1, 1, 1, 1, 1, 2]), rows=[1, bad])
 
 
 class TestLeastCoreCertificate:
